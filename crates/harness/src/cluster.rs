@@ -21,12 +21,15 @@ pub type MachineFactory = Arc<dyn Fn() -> Machine + Send + Sync>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResetStrategy {
     /// Build the preset once, capture a [`MachineSnapshot`], and reset by
-    /// copy-on-write clone — O(dirty state) per run instead of a full
+    /// cloning it: the clone shares the preset's registry and filesystem as
+    /// an immutable base, and the run's writes go into a per-run delta, so
+    /// a reset plus a run costs O(keys the run touches) instead of a full
     /// rebuild. The default.
     #[default]
     Snapshot,
-    /// Call the [`MachineFactory`] from scratch for every run. Kept for
-    /// benchmarking the snapshot path and as a determinism cross-check.
+    /// Call the [`MachineFactory`] from scratch for every run. Kept only as
+    /// an oracle: a determinism cross-check and a cost bound for the
+    /// snapshot path.
     FactoryRebuild,
 }
 
@@ -158,7 +161,8 @@ impl Cluster {
     }
 
     /// The shared preset snapshot, capturing the factory's machine on
-    /// first use. Every subsequent reset is a copy-on-write clone.
+    /// first use. Every subsequent reset is a clone that shares the
+    /// snapshot's stores as its base and starts with an empty delta.
     fn preset_snapshot(&self) -> &Arc<MachineSnapshot> {
         self.snapshot.get_or_init(|| Arc::new(MachineSnapshot::capture(&(self.factory)())))
     }
@@ -173,8 +177,10 @@ impl Cluster {
         m.max_processes = self.limits.max_processes;
         m.set_telemetry(self.engine.telemetry().cloned());
         self.record_stage(Stage::MachineReset, started);
-        if let Some(f) = self.recorder().as_mut() {
-            f.record_hist(FlightHist::SnapshotRestore, started.elapsed().as_nanos() as u64);
+        if self.reset == ResetStrategy::Snapshot {
+            if let Some(f) = self.recorder().as_mut() {
+                f.record_hist(FlightHist::SnapshotRestore, started.elapsed().as_nanos() as u64);
+            }
         }
         m
     }
@@ -345,11 +351,14 @@ impl SampleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use malware_sim::cnet_top20;
+    use malware_sim::samples::cases;
     use malware_sim::samples::joe::joe_samples;
     use malware_sim::{malgene_corpus, SampleClass};
     use scarecrow::Config;
     use tracer::ToJson;
-    use winsim::env::bare_metal_sandbox;
+    use winsim::env::{bare_metal_sandbox, end_user_machine};
+    use winsim::DriveInfo;
 
     fn cluster() -> Cluster {
         Cluster::new(Arc::new(bare_metal_sandbox), Scarecrow::with_builtin_db(Config::default()))
@@ -492,6 +501,49 @@ mod tests {
         let rp = snap.run_corpus_parallel(&corpus, 4);
         assert_eq!(ra.results(), rp.results());
         assert!(ta.counters_agree(rp.telemetry().expect("telemetry on by default")));
+
+        // the write-heavy preset: benign apps write into the 60k-key hive,
+        // and the ransomware cases rename and encrypt preset files, which
+        // leaves tombstones over base entries
+        let factory: MachineFactory = Arc::new(|| {
+            let mut m = end_user_machine();
+            m.system_mut().fs.set_drive('D', DriveInfo::gb(1_000, 800));
+            m
+        });
+        let engine = || Scarecrow::with_builtin_db(Config::default());
+        let snap = Cluster::new(Arc::clone(&factory), engine());
+        let rebuild =
+            Cluster::new(factory, engine()).with_reset_strategy(ResetStrategy::FactoryRebuild);
+        let mut programs: Vec<Arc<dyn Program>> =
+            cnet_top20().into_iter().map(|app| Arc::new(app) as Arc<dyn Program>).collect();
+        programs.extend(
+            [cases::wannacry(), cases::locky(), cases::kasidet()]
+                .map(|s| Arc::new(s) as Arc<dyn Program>),
+        );
+        // one factory build per run under rebuild: the baseline machine is
+        // kept for its post-run store view
+        let paired = |c: &Cluster, program: &Arc<dyn Program>| {
+            let (machine, baseline) = c.run_baseline(Arc::clone(program));
+            let (_, protected) = c.run_protected(Arc::clone(program));
+            let verdict = Verdict::decide(&baseline, &protected.trace);
+            (machine, baseline, protected, verdict)
+        };
+        let files = |m: &Machine| -> Vec<(String, bool)> {
+            m.system().fs.iter().map(|f| (f.path.clone(), f.encrypted)).collect()
+        };
+        for program in programs {
+            let name = program.image_name().to_owned();
+            let (ma, baseline_a, protected_a, verdict_a) = paired(&snap, &program);
+            let (mb, baseline_b, protected_b, verdict_b) = paired(&rebuild, &program);
+            assert_eq!(baseline_a, baseline_b, "{name}: baseline trace differs");
+            assert_eq!(protected_a.trace, protected_b.trace, "{name}: protected trace differs");
+            assert_eq!(verdict_a, verdict_b, "{name}");
+            // the post-run store views agree
+            let (ra, rb) = (&ma.system().registry, &mb.system().registry);
+            assert_eq!(ra.key_count(), rb.key_count(), "{name}");
+            assert_eq!(ma.system().fs.file_count(), mb.system().fs.file_count(), "{name}");
+            assert_eq!(files(&ma), files(&mb), "{name}: file views differ");
+        }
     }
 
     #[test]
@@ -512,6 +564,15 @@ mod tests {
         assert!(fs.hists.contains_key("snapshot_restore_ns"));
         // every sample keyed by md5 is findable (the explain path)
         assert!(fs.attribution_for(&corpus[0].md5).is_some());
+        // a factory rebuild is not a snapshot restore
+        let rebuild = cluster()
+            .with_limits(limits)
+            .with_flight(FlightConfig::enabled())
+            .with_reset_strategy(ResetStrategy::FactoryRebuild);
+        let fr = rebuild.run_corpus(&corpus);
+        let fr = fr.flight().expect("flight enabled");
+        assert!(fr.hists.contains_key("api_dispatch_ns"));
+        assert!(!fr.hists.contains_key("snapshot_restore_ns"));
     }
 
     #[test]

@@ -139,7 +139,8 @@ pub enum FlightHist {
     HookChain,
     /// Trampoline tail falling through to the original API, nanoseconds.
     TrampolinePassthrough,
-    /// Restoring a machine from a copy-on-write snapshot, nanoseconds.
+    /// Restoring a machine from its preset snapshot (snapshot reset only),
+    /// nanoseconds.
     SnapshotRestore,
 }
 

@@ -28,8 +28,11 @@ pub struct SysEvent {
 /// assert_eq!(log.recent(8_000).len(), 8_000);
 /// assert_eq!(EventLog::distinct_sources(log.recent(8_000)), 2);
 /// ```
+///
 /// The seeded event store is `Arc`-shared so machine snapshots clone in
-/// O(1); the first post-clone `push` copies it (copy-on-write).
+/// O(1). Only [`EventLog::seed`] appends, while a preset is built and the
+/// `Arc` is not yet shared; no API handler writes the log at run time, so
+/// runs never copy it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EventLog {
     events: Arc<Vec<SysEvent>>,

@@ -8,9 +8,9 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::error::NtStatus;
+use crate::overlay::Overlay;
 
 /// Capacity information for one drive letter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,12 +52,15 @@ pub struct FileNode {
 /// assert!(fs.rename(r"C:\Users\u\Documents\report.docx",
 ///                   r"C:\Users\u\Documents\report.docx.WCRY"));
 /// ```
-/// The file map is `Arc`-shared so machine snapshots clone in O(1); the
-/// first write after a clone copies the map (copy-on-write via
-/// [`Arc::make_mut`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The file map is a base-plus-overlay map: machine snapshots share one
+/// immutable base behind an `Arc`, so a clone costs O(1), and a write after
+/// a clone goes into a small per-clone delta — encrypting a preset file
+/// copies that one node, deleting or renaming it away leaves a tombstone.
+/// Queries read the merged view.
+#[derive(Debug, Clone, Default)]
 pub struct FileSystem {
-    files: Arc<BTreeMap<String, FileNode>>,
+    files: Overlay<FileNode>,
     drives: BTreeMap<char, DriveInfo>,
 }
 
@@ -90,7 +93,7 @@ impl FileSystem {
 
     /// Creates a file with a tag; overwrites any existing node.
     pub fn create(&mut self, path: &str, size: u64, tag: &str) {
-        Arc::make_mut(&mut self.files).insert(
+        self.files.insert(
             norm(path).into_owned(),
             FileNode { path: path.to_owned(), size, encrypted: false, tag: tag.to_owned() },
         );
@@ -98,14 +101,14 @@ impl FileSystem {
 
     /// Whether the path names an existing file.
     pub fn exists(&self, path: &str) -> bool {
-        self.files.contains_key(norm(path).as_ref())
+        self.files.contains_key(&norm(path))
     }
 
     /// Whether the path names an existing directory (a prefix of any file).
     pub fn dir_exists(&self, path: &str) -> bool {
         let n = norm(path);
         let prefix = format!("{n}\\");
-        self.files.range(prefix.clone()..).next().is_some_and(|(k, _)| k.starts_with(&prefix))
+        self.files.range_from(&prefix).next().is_some_and(|(k, _)| k.starts_with(&prefix))
     }
 
     /// `NtQueryAttributesFile` result for a path.
@@ -119,27 +122,27 @@ impl FileSystem {
 
     /// File metadata, if present.
     pub fn node(&self, path: &str) -> Option<&FileNode> {
-        self.files.get(norm(path).as_ref())
+        self.files.get(&norm(path))
     }
 
     /// Appends `bytes` to a file, creating it if needed. Returns new size.
     pub fn write(&mut self, path: &str, bytes: u64) -> u64 {
+        let n = norm(path);
+        if let Some(node) = self.files.get_mut(&n) {
+            node.size += bytes;
+            return node.size;
+        }
         let node =
-            Arc::make_mut(&mut self.files).entry(norm(path).into_owned()).or_insert_with(|| {
-                FileNode { path: path.to_owned(), size: 0, encrypted: false, tag: String::new() }
-            });
-        node.size += bytes;
-        node.size
+            FileNode { path: path.to_owned(), size: bytes, encrypted: false, tag: String::new() };
+        self.files.insert(n.into_owned(), node);
+        bytes
     }
 
     /// Marks a file's contents as encrypted (ransomware payloads).
     ///
     /// Returns `false` if the file does not exist.
     pub fn encrypt(&mut self, path: &str) -> bool {
-        if !self.exists(path) {
-            return false;
-        }
-        match Arc::make_mut(&mut self.files).get_mut(norm(path).as_ref()) {
+        match self.files.get_mut(&norm(path)) {
             Some(node) => {
                 node.encrypted = true;
                 true
@@ -150,26 +153,19 @@ impl FileSystem {
 
     /// Deletes a file; returns whether it existed.
     pub fn delete(&mut self, path: &str) -> bool {
-        if !self.exists(path) {
-            return false;
-        }
-        Arc::make_mut(&mut self.files).remove(norm(path).as_ref()).is_some()
+        self.files.remove(&norm(path))
     }
 
     /// Renames a file; returns whether the source existed.
     pub fn rename(&mut self, from: &str, to: &str) -> bool {
-        if !self.exists(from) {
+        let from = norm(from);
+        let Some(node) = self.files.get(&from) else {
             return false;
-        }
-        let files = Arc::make_mut(&mut self.files);
-        match files.remove(norm(from).as_ref()) {
-            Some(mut node) => {
-                node.path = to.to_owned();
-                files.insert(norm(to).into_owned(), node);
-                true
-            }
-            None => false,
-        }
+        };
+        let node = FileNode { path: to.to_owned(), ..node.clone() };
+        self.files.remove(&from);
+        self.files.insert(norm(to).into_owned(), node);
+        true
     }
 
     /// Files directly or transitively under a directory path.
@@ -177,7 +173,7 @@ impl FileSystem {
         let n = norm(dir);
         let prefix = format!("{n}\\");
         self.files
-            .range(prefix.clone()..)
+            .range_from(&prefix)
             .take_while(|(k, _)| k.starts_with(&prefix))
             .map(|(_, v)| v)
             .collect()
@@ -185,7 +181,7 @@ impl FileSystem {
 
     /// All files whose tag equals `tag`.
     pub fn files_tagged<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a FileNode> {
-        self.files.values().filter(move |f| f.tag == tag)
+        self.iter().filter(move |f| f.tag == tag)
     }
 
     /// Total number of files.
@@ -195,7 +191,13 @@ impl FileSystem {
 
     /// Iterates over every file node.
     pub fn iter(&self) -> impl Iterator<Item = &FileNode> {
-        self.files.values()
+        self.files.iter().map(|(_, f)| f)
+    }
+
+    /// Whether two filesystems read from the same shared base.
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &FileSystem) -> bool {
+        self.files.shares_base(&other.files)
     }
 }
 
@@ -260,6 +262,33 @@ mod tests {
         fs.create(r"C:\ab\3.txt", 1, "t");
         assert_eq!(fs.list_dir(r"C:\a").len(), 2);
         assert_eq!(fs.list_dir(r"C:\ab").len(), 1);
+    }
+
+    #[test]
+    fn clones_share_storage_until_mutation() {
+        let mut a = FileSystem::new();
+        a.create(r"C:\Users\u\doc.xls", 100, "user-document");
+        a.create(r"C:\Users\u\notes.txt", 10, "user-document");
+        a.create(r"C:\Users\u\old.log", 1, "log");
+        let b = a.clone();
+        assert!(a.files.shares_base(&b.files), "clone is a refcount bump");
+        let mut c = b.clone();
+        assert!(c.encrypt(r"C:\Users\u\notes.txt"));
+        assert!(c.rename(r"C:\Users\u\doc.xls", r"C:\Users\u\doc.xls.WCRY"));
+        assert!(c.delete(r"C:\Users\u\old.log"));
+        assert!(b.files.shares_base(&c.files), "writes after a clone land in the delta");
+        // the encrypted copy, the renamed node, and tombstones over the
+        // rename source and the deleted file
+        assert_eq!(c.files.delta_len(), 4);
+        let paths: Vec<&str> = c.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, [r"C:\Users\u\doc.xls.WCRY", r"C:\Users\u\notes.txt"]);
+        assert!(c.node(r"C:\Users\u\notes.txt").unwrap().encrypted);
+        assert_eq!(c.file_count(), 2);
+        // the original is unchanged
+        let paths: Vec<&str> = b.iter().map(|f| f.path.as_str()).collect();
+        assert_eq!(paths, [r"C:\Users\u\doc.xls", r"C:\Users\u\notes.txt", r"C:\Users\u\old.log"]);
+        assert!(b.iter().all(|f| !f.encrypted));
+        assert_eq!(b.file_count(), 3);
     }
 
     #[test]

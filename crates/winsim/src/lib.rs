@@ -67,6 +67,7 @@ mod hardware;
 mod input;
 mod machine;
 mod network;
+mod overlay;
 mod process;
 mod program;
 mod registry;

@@ -47,10 +47,12 @@ pub const DEFAULT_MAX_PROCESSES: usize = 4_096;
 /// # Ok::<(), winsim::SimError>(())
 /// ```
 ///
-/// Cloning a machine is cheap: the registry, filesystem, event log, and
-/// per-process hook tables are all `Arc`-shared copy-on-write stores, so a
-/// clone of a freshly built preset is a handful of refcount bumps (see
-/// [`MachineSnapshot`]).
+/// Cloning a machine is cheap: the registry and filesystem are
+/// base-plus-overlay stores whose base is `Arc`-shared, and the event log
+/// and per-process hook tables are `Arc`-shared, so a clone of a freshly
+/// built preset is a handful of refcount bumps (see [`MachineSnapshot`]).
+/// A registry or file write on a clone lands in that clone's own small
+/// delta; the shared base is never copied.
 #[derive(Clone)]
 pub struct Machine {
     sys: System,
@@ -1003,9 +1005,12 @@ impl Machine {
 /// event log, process table) costs milliseconds; a corpus sweep needs two
 /// fresh machines per sample. Capturing the built machine once and
 /// [`MachineSnapshot::instantiate`]-ing per run replaces ~2,100 full
-/// builds in the Figure 4 sweep with one build plus O(1) copy-on-write
-/// clones — every `Arc`-shared store (registry, fs, event log, hook
-/// tables) is only copied if the run actually mutates it.
+/// builds in the Figure 4 sweep with one build plus O(1) clones. The
+/// registry and filesystem keep the template's stores as a shared base and
+/// put each run's writes in a per-run delta, so a run that sets one value
+/// copies one key node, a delete leaves a tombstone, and dropping the run
+/// frees only its delta. The event log is never written at run time; a
+/// per-process hook table is copied only when a hook is installed into it.
 ///
 /// ```
 /// use winsim::{Machine, MachineSnapshot, System};
@@ -1357,6 +1362,59 @@ mod tests {
         assert!(!fresh.flight_active());
         assert!(fresh.take_flight().is_none());
         assert!(fresh.telemetry().is_none());
+    }
+
+    /// Writes over preset keys and files: a value change, a subtree delete,
+    /// an append, a rename away, and a new file.
+    struct Writer;
+    impl Program for Writer {
+        fn image_name(&self) -> &str {
+            "writer.exe"
+        }
+        fn run(&self, ctx: &mut ProcessCtx<'_>) {
+            ctx.call(Api::RegSetValueEx, args![r"HKLM\SOFTWARE\Preset", "v", "changed"]);
+            ctx.call(Api::RegDeleteKey, args![r"HKLM\SOFTWARE\Preset\Child"]);
+            ctx.call(Api::WriteFile, args![r"C:\preset.txt", 16u64]);
+            ctx.call(Api::MoveFile, args![r"C:\preset.txt", r"C:\preset.txt.locked"]);
+            ctx.call(Api::WriteFile, args![r"C:\new.txt", 8u64]);
+        }
+    }
+
+    /// What the registry and filesystem answer, for before/after checks.
+    fn store_view(sys: &System) -> (Vec<String>, Option<String>, Vec<(String, u64)>) {
+        let keys = sys.registry.key_paths().map(str::to_owned).collect();
+        let value = sys.registry.value(r"HKLM\SOFTWARE\Preset", "v").and_then(|v| v.as_sz());
+        let files = sys.fs.iter().map(|f| (f.path.clone(), f.size)).collect();
+        (keys, value.map(str::to_owned), files)
+    }
+
+    #[test]
+    fn snapshot_runs_write_into_their_own_delta() {
+        let mut preset = crate::env::bare_metal_sandbox();
+        let sys = preset.system_mut();
+        sys.registry.set_value(r"HKLM\SOFTWARE\Preset", "v", RegValue::Sz("orig".into()));
+        sys.registry.create_key(r"HKLM\SOFTWARE\Preset\Child\Leaf");
+        sys.fs.create(r"C:\preset.txt", 4, "t");
+        let snap = MachineSnapshot::capture(&preset);
+        drop(preset);
+        let before = store_view(&snap.template.sys);
+        let mut run = snap.instantiate();
+        run.register_program(Arc::new(Writer));
+        run.run_sample("writer.exe").unwrap();
+        let (template, after) = (&snap.template.sys, run.system());
+        assert!(after.registry.shares_base(&template.registry));
+        assert!(after.fs.shares_base(&template.fs));
+        // the run sees its own writes ...
+        let (keys, value, files) = store_view(after);
+        assert_eq!(value.as_deref(), Some("changed"));
+        assert_eq!(keys.len(), before.0.len() - 2);
+        assert!(!after.registry.key_exists(r"HKLM\SOFTWARE\Preset\Child\Leaf"));
+        assert!(files.contains(&(r"C:\preset.txt.locked".to_owned(), 20)));
+        assert!(files.contains(&(r"C:\new.txt".to_owned(), 8)));
+        assert!(!after.fs.exists(r"C:\preset.txt"));
+        // ... and the template answers exactly as before the run
+        assert_eq!(store_view(template), before);
+        assert_eq!(before.1.as_deref(), Some("orig"));
     }
 
     #[test]

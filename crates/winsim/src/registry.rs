@@ -9,9 +9,9 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use crate::error::NtStatus;
+use crate::overlay::Overlay;
 
 /// A registry value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +48,7 @@ impl RegValue {
 }
 
 /// One registry key: named values plus implicit children via path prefixes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 struct KeyNode {
     /// Original (display) casing of the full path.
     display: String,
@@ -69,13 +69,15 @@ struct KeyNode {
 /// assert!(r.key_exists(r"hklm\software\ORACLE"));
 /// assert_eq!(r.subkey_count(r"HKLM\SOFTWARE"), 1);
 /// ```
-/// The key store sits behind an `Arc` so machine snapshots share one
-/// immutable tree: cloning a worn 60,000-key hive is one refcount bump, and
-/// the first mutation after a clone copies the map (copy-on-write via
-/// [`Arc::make_mut`]). Runs that never touch the registry never pay for it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The key store is a base-plus-overlay map: machine snapshots share one
+/// immutable tree behind an `Arc`, so cloning a worn 60,000-key hive is one
+/// refcount bump, and a write after a clone goes into a small per-clone
+/// delta — setting a value copies that one key node, deleting a key leaves
+/// a tombstone. Queries read the merged view.
+#[derive(Debug, Clone, Default)]
 pub struct Registry {
-    keys: Arc<BTreeMap<String, KeyNode>>,
+    keys: Overlay<KeyNode>,
 }
 
 /// Normalization is allocation-free when the path is already trimmed and
@@ -97,23 +99,28 @@ impl Registry {
 
     /// Creates the key (and all missing ancestors). Idempotent.
     pub fn create_key(&mut self, path: &str) {
-        let trimmed = path.trim_matches('\\');
-        let keys = Arc::make_mut(&mut self.keys);
-        let mut so_far = String::new();
-        for comp in trimmed.split('\\') {
-            if !so_far.is_empty() {
-                so_far.push('\\');
+        let display = path.trim_matches('\\');
+        let n = norm(display);
+        // Each key on the path ends just before a backslash (a prefix that
+        // itself ends in a backslash names the key before it). Ancestors of
+        // a live key are live, so create keys from the full path upwards
+        // and stop at the first one that was already there.
+        let ends = display
+            .match_indices('\\')
+            .map(|(i, _)| i)
+            .filter(|&i| !display[..i].ends_with('\\'))
+            .chain([display.len()]);
+        for end in ends.rev() {
+            let node = KeyNode { display: display[..end].to_owned(), values: BTreeMap::new() };
+            if !self.keys.insert_absent(n[..end].to_owned(), node) {
+                break;
             }
-            so_far.push_str(comp);
-            let n = norm(&so_far).into_owned();
-            keys.entry(n)
-                .or_insert_with(|| KeyNode { display: so_far.clone(), values: BTreeMap::new() });
         }
     }
 
     /// Whether the key exists.
     pub fn key_exists(&self, path: &str) -> bool {
-        self.keys.contains_key(norm(path).as_ref())
+        self.keys.contains_key(&norm(path))
     }
 
     /// Opens a key, mirroring `RegOpenKeyEx` result codes.
@@ -127,26 +134,30 @@ impl Registry {
 
     /// Sets a value under `path` (creating the key if needed).
     pub fn set_value(&mut self, path: &str, name: &str, value: RegValue) {
-        self.create_key(path);
-        let keys = Arc::make_mut(&mut self.keys);
-        let node = keys.get_mut(norm(path).as_ref()).expect("key just created");
+        let n = norm(path);
+        if !self.keys.contains_key(&n) {
+            self.create_key(path);
+        }
+        let node = self.keys.get_mut(&n).expect("key just created");
         node.values.insert(name.to_ascii_lowercase(), (name.to_owned(), value));
     }
 
     /// Reads a value.
     pub fn value(&self, path: &str, name: &str) -> Option<&RegValue> {
         self.keys
-            .get(norm(path).as_ref())
+            .get(&norm(path))
             .and_then(|k| k.values.get(&name.to_ascii_lowercase()))
             .map(|(_, v)| v)
     }
 
     /// Deletes a value; returns whether it existed.
     pub fn delete_value(&mut self, path: &str, name: &str) -> bool {
-        Arc::make_mut(&mut self.keys)
-            .get_mut(norm(path).as_ref())
-            .map(|k| k.values.remove(&name.to_ascii_lowercase()).is_some())
-            .unwrap_or(false)
+        if self.value(path, name).is_none() {
+            return false;
+        }
+        self.keys
+            .get_mut(&norm(path))
+            .is_some_and(|k| k.values.remove(&name.to_ascii_lowercase()).is_some())
     }
 
     /// Deletes a key and its entire subtree; returns number of keys removed.
@@ -155,15 +166,12 @@ impl Registry {
         let prefix = format!("{n}\\");
         let doomed: Vec<String> = self
             .keys
-            .range(n.clone()..)
-            .take_while(|(k, _)| **k == n || k.starts_with(&prefix))
-            .map(|(k, _)| k.clone())
+            .range_from(&n)
+            .take_while(|(k, _)| *k == n || k.starts_with(&prefix))
+            .map(|(k, _)| k.to_owned())
             .collect();
-        if !doomed.is_empty() {
-            let keys = Arc::make_mut(&mut self.keys);
-            for k in &doomed {
-                keys.remove(k);
-            }
+        for k in &doomed {
+            self.keys.remove(k);
         }
         doomed.len()
     }
@@ -179,7 +187,7 @@ impl Registry {
         let prefix = format!("{n}\\");
         let mut out = Vec::new();
         let mut last: Option<String> = None;
-        for (k, node) in self.keys.range(prefix.clone()..) {
+        for (k, node) in self.keys.range_from(&prefix) {
             if !k.starts_with(&prefix) {
                 break;
             }
@@ -202,13 +210,13 @@ impl Registry {
 
     /// Number of values stored directly under `path`.
     pub fn value_count(&self, path: &str) -> usize {
-        self.keys.get(norm(path).as_ref()).map_or(0, |k| k.values.len())
+        self.keys.get(&norm(path)).map_or(0, |k| k.values.len())
     }
 
     /// Value names (display casing) under `path`.
     pub fn value_names(&self, path: &str) -> Vec<String> {
         self.keys
-            .get(norm(path).as_ref())
+            .get(&norm(path))
             .map(|k| k.values.values().map(|(name, _)| name.clone()).collect())
             .unwrap_or_default()
     }
@@ -221,7 +229,7 @@ impl Registry {
     /// Iterates over every key's display path (used by the resource
     /// crawler to inventory a machine).
     pub fn key_paths(&self) -> impl Iterator<Item = &str> {
-        self.keys.values().map(|n| n.display.as_str())
+        self.keys.iter().map(|(_, n)| n.display.as_str())
     }
 
     /// All key paths (normalized) containing `needle` (case-insensitive).
@@ -245,7 +253,7 @@ impl Registry {
     /// while a pristine image stays small.
     pub fn quota_used_bytes(&self) -> u64 {
         let mut total = 0u64;
-        for node in self.keys.values() {
+        for (_, node) in self.keys.iter() {
             total += 1024; // per-key overhead (cells + security + names)
             for (name, (_, v)) in &node.values {
                 total += name.len() as u64 + 64;
@@ -260,6 +268,12 @@ impl Registry {
         }
         total
     }
+
+    /// Whether two registries read from the same shared base.
+    #[cfg(test)]
+    pub(crate) fn shares_base(&self, other: &Registry) -> bool {
+        self.keys.shares_base(&other.keys)
+    }
 }
 
 #[cfg(test)]
@@ -273,6 +287,15 @@ mod tests {
         assert!(r.key_exists(r"HKLM\SOFTWARE"));
         assert!(r.key_exists(r"hklm\software\oracle"));
         assert_eq!(r.open_key(r"HKLM\SOFTWARE\Oracle"), NtStatus::Success);
+    }
+
+    #[test]
+    fn create_key_on_an_empty_component_names_each_key_once() {
+        let mut r = Registry::new();
+        r.create_key(r"\HKLM\\A\B\");
+        assert_eq!(r.key_paths().collect::<Vec<_>>(), [r"HKLM", r"HKLM\\A", r"HKLM\\A\B"]);
+        r.create_key(r"HKLM\\A\B\C");
+        assert_eq!(r.key_count(), 4);
     }
 
     #[test]
@@ -348,14 +371,29 @@ mod tests {
     #[test]
     fn clones_share_storage_until_mutation() {
         let mut a = Registry::new();
-        a.create_key(r"HKLM\A");
+        a.set_value(r"HKLM\A\B", "v", RegValue::Dword(1));
+        a.set_value(r"HKLM\A\B", "w", RegValue::Dword(2));
+        a.create_key(r"HKLM\C\D");
         let b = a.clone();
-        assert!(Arc::ptr_eq(&a.keys, &b.keys), "clone is a refcount bump");
+        assert!(a.keys.shares_base(&b.keys), "clone is a refcount bump");
         let mut c = b.clone();
-        c.create_key(r"HKLM\B");
-        assert!(!Arc::ptr_eq(&b.keys, &c.keys), "first write copies");
-        assert!(!b.key_exists(r"HKLM\B"));
-        assert!(c.key_exists(r"HKLM\A"));
+        c.create_key(r"HKLM\E");
+        c.set_value(r"HKLM\A\B", "v", RegValue::Dword(7));
+        assert!(c.delete_value(r"HKLM\A\B", "w"));
+        assert_eq!(c.delete_key(r"HKLM\C"), 2);
+        assert!(b.keys.shares_base(&c.keys), "writes after a clone land in the delta");
+        // E, the copied A\B node, and tombstones over C and C\D
+        assert_eq!(c.keys.delta_len(), 4);
+        assert!(c.key_exists(r"HKLM\E") && !c.key_exists(r"HKLM\C\D"));
+        assert_eq!(c.value(r"HKLM\A\B", "v"), Some(&RegValue::Dword(7)));
+        assert_eq!(c.value_names(r"HKLM\A\B"), ["v"]);
+        assert_eq!(c.key_count(), 4);
+        // the original is unchanged
+        assert!(!b.key_exists(r"HKLM\E"));
+        assert!(b.key_exists(r"HKLM\C\D"));
+        assert_eq!(b.value(r"HKLM\A\B", "v"), Some(&RegValue::Dword(1)));
+        assert_eq!(b.value_names(r"HKLM\A\B"), ["v", "w"]);
+        assert_eq!(b.key_count(), 5);
     }
 
     #[test]

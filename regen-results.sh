@@ -3,7 +3,8 @@
 #
 #   ./regen-results.sh              # regenerate results/*.txt and results/*.json
 #   ./regen-results.sh --check      # CI gate: cargo fmt --check, clippy
-#                                   # --all-targets -D warnings, the eight
+#                                   # --all-targets -D warnings, the whole
+#                                   # workspace test suite, the eight
 #                                   # experiment binaries' stdout and the seven
 #                                   # JSON artifacts byte-equal to results/,
 #                                   # and the telemetry / flight / rules
@@ -44,6 +45,8 @@ if [ "${1:-}" = "--check" ]; then
     cargo fmt --all --check
     echo "== cargo clippy --all-targets -D warnings =="
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "== cargo test --workspace =="
+    cargo test --workspace -q --no-fail-fast
     echo "== building experiment binaries =="
     cargo build --release -p scarecrow-bench --bins
     check_dir="$(mktemp -d)"

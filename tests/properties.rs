@@ -216,6 +216,241 @@ fn fs_writes_accumulate() {
 }
 
 // ---------------------------------------------------------------------------
+// base-plus-overlay stores: a store written after a clone answers every
+// query exactly like a store built from scratch with the same writes, and
+// the clone it shares its base with is unaffected
+// ---------------------------------------------------------------------------
+
+/// A component drawn from a small set in random casing, so generated ops
+/// collide on the same keys and files.
+fn cased(g: &mut Gen, words: &[&str]) -> String {
+    let w = g.pick(words);
+    match g.index(0..3) {
+        0 => w.to_ascii_lowercase(),
+        1 => w.to_ascii_uppercase(),
+        _ => w.to_owned(),
+    }
+}
+
+const REG_WORDS: &[&str] = &["Run", "Svc", "Vm"];
+const VALUE_NAMES: &[&str] = &["Path", "v", "Ver"];
+
+/// `HKLM\Soft` plus 1–3 components: deletes high in the tree span keys
+/// created before and after the clone.
+fn overlay_reg_path(g: &mut Gen) -> String {
+    let depth = g.index(1..4);
+    let comps: Vec<String> = (0..depth).map(|_| cased(g, REG_WORDS)).collect();
+    format!("HKLM\\Soft\\{}", comps.join("\\"))
+}
+
+#[derive(Debug)]
+enum RegWrite {
+    CreateKey(String),
+    SetValue(String, String, RegValue),
+    DeleteValue(String, String),
+    DeleteKey(String),
+    /// Deletes a subtree, then re-creates its root with one value.
+    Recreate(String, String),
+}
+
+fn reg_write(g: &mut Gen) -> RegWrite {
+    let path = overlay_reg_path(g);
+    match g.index(0..6) {
+        0 => RegWrite::CreateKey(path),
+        1 | 2 => {
+            let value = if g.bool() {
+                RegValue::Dword(g.range(0..4) as u32)
+            } else {
+                RegValue::Sz(g.string(LOWER, 0..6))
+            };
+            RegWrite::SetValue(path, cased(g, VALUE_NAMES), value)
+        }
+        3 => RegWrite::DeleteValue(path, cased(g, VALUE_NAMES)),
+        4 => RegWrite::DeleteKey(path),
+        _ => RegWrite::Recreate(path, cased(g, VALUE_NAMES)),
+    }
+}
+
+/// Applies one write; the returned string records what the call reported.
+fn apply_reg(r: &mut Registry, op: &RegWrite) -> String {
+    match op {
+        RegWrite::CreateKey(p) => {
+            r.create_key(p);
+            String::new()
+        }
+        RegWrite::SetValue(p, n, v) => {
+            r.set_value(p, n, v.clone());
+            String::new()
+        }
+        RegWrite::DeleteValue(p, n) => r.delete_value(p, n).to_string(),
+        RegWrite::DeleteKey(p) => r.delete_key(p).to_string(),
+        RegWrite::Recreate(p, n) => {
+            let removed = r.delete_key(p);
+            r.set_value(p, n, RegValue::Dword(7));
+            removed.to_string()
+        }
+    }
+}
+
+/// Every key the generator can name, plus its ancestors.
+fn reg_universe() -> Vec<String> {
+    let mut paths = vec!["HKLM".to_owned(), "HKLM\\Soft".to_owned()];
+    let mut level = vec!["HKLM\\Soft".to_owned()];
+    for _ in 0..3 {
+        level = level
+            .iter()
+            .flat_map(|parent| REG_WORDS.iter().map(move |w| format!("{parent}\\{w}")))
+            .collect();
+        paths.extend(level.iter().cloned());
+    }
+    paths
+}
+
+/// What the registry answers to every query, one line per query.
+fn reg_answers(r: &Registry, universe: &[String]) -> Vec<String> {
+    let mut out = vec![
+        format!("key_count {}", r.key_count()),
+        format!("key_paths {:?}", r.key_paths().collect::<Vec<_>>()),
+        format!("quota_used_bytes {}", r.quota_used_bytes()),
+    ];
+    for needle in ["run", "SVC\\vm", "soft", "x"] {
+        out.push(format!("find_keys_containing {needle} {:?}", r.find_keys_containing(needle)));
+    }
+    for path in universe {
+        for p in [path.clone(), path.to_ascii_uppercase()] {
+            out.push(format!("key_exists {p} {}", r.key_exists(&p)));
+            out.push(format!("subkeys {p} {:?}", r.subkeys(&p)));
+            out.push(format!("subkey_count {p} {}", r.subkey_count(&p)));
+            out.push(format!("value_names {p} {:?}", r.value_names(&p)));
+            out.push(format!("value_count {p} {}", r.value_count(&p)));
+            for n in VALUE_NAMES {
+                out.push(format!("value {p} {n} {:?}", r.value(&p, n)));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn registry_overlay_matches_fresh_store() {
+    let ops = |g: &mut Gen| (g.vec(0..24, reg_write), g.vec(1..24, reg_write));
+    let universe = reg_universe();
+    check("registry_overlay_matches_fresh_store", DEFAULT_CASES, ops, |(preset, run)| {
+        let mut fresh = Registry::new();
+        let mut overlay = Registry::new();
+        for op in &preset {
+            apply_reg(&mut fresh, op);
+            apply_reg(&mut overlay, op);
+        }
+        let kept = overlay.clone();
+        let kept_before = reg_answers(&kept, &universe);
+        for op in &run {
+            assert_eq!(apply_reg(&mut overlay, op), apply_reg(&mut fresh, op), "{op:?}");
+        }
+        assert_eq!(reg_answers(&overlay, &universe), reg_answers(&fresh, &universe));
+        assert_eq!(reg_answers(&kept, &universe), kept_before, "the clone changed");
+    });
+}
+
+const FS_DIRS: &[&str] = &[r"C:\Users\u", r"C:\Users\u\Docs", r"C:\Windows", r"D:\Backup"];
+const FS_NAMES: &[&str] = &["a.doc", "Notes.txt", "Sheet.XLS"];
+const FS_TAGS: &[&str] = &["user-document", "log"];
+
+fn overlay_file_path(g: &mut Gen) -> String {
+    let dir = cased(g, FS_DIRS);
+    let name = cased(g, FS_NAMES);
+    if g.index(0..4) == 0 {
+        format!("{dir}\\{name}.WCRY")
+    } else {
+        format!("{dir}\\{name}")
+    }
+}
+
+#[derive(Debug)]
+enum FsWrite {
+    Create(String, u64, &'static str),
+    Write(String, u64),
+    Encrypt(String),
+    Delete(String),
+    /// Renames onto a fresh `.WCRY` name (base → new) or onto any
+    /// generated name, which may be a preset file's (new → base name).
+    Rename(String, String),
+}
+
+fn fs_write(g: &mut Gen) -> FsWrite {
+    let path = overlay_file_path(g);
+    match g.index(0..6) {
+        0 | 1 => FsWrite::Create(path, g.range(0..100), g.pick(FS_TAGS)),
+        2 => FsWrite::Write(path, g.range(1..100)),
+        3 => FsWrite::Encrypt(path),
+        4 => FsWrite::Delete(path),
+        _ => {
+            let to = if g.bool() { format!("{path}.WCRY") } else { overlay_file_path(g) };
+            FsWrite::Rename(path, to)
+        }
+    }
+}
+
+fn apply_fs(fs: &mut FileSystem, op: &FsWrite) -> String {
+    match op {
+        FsWrite::Create(p, size, tag) => {
+            fs.create(p, *size, tag);
+            String::new()
+        }
+        FsWrite::Write(p, bytes) => fs.write(p, *bytes).to_string(),
+        FsWrite::Encrypt(p) => fs.encrypt(p).to_string(),
+        FsWrite::Delete(p) => fs.delete(p).to_string(),
+        FsWrite::Rename(from, to) => fs.rename(from, to).to_string(),
+    }
+}
+
+fn fs_answers(fs: &FileSystem) -> Vec<String> {
+    let mut out = vec![
+        format!("file_count {}", fs.file_count()),
+        format!("iter {:?}", fs.iter().collect::<Vec<_>>()),
+    ];
+    for tag in FS_TAGS {
+        out.push(format!("files_tagged {tag} {:?}", fs.files_tagged(tag).collect::<Vec<_>>()));
+    }
+    for dir in FS_DIRS.iter().copied().chain([r"C:\Users", "C:", "D:", r"C:\Users\u\a.doc"]) {
+        for d in [dir.to_owned(), dir.to_ascii_uppercase()] {
+            out.push(format!("dir_exists {d} {}", fs.dir_exists(&d)));
+            out.push(format!("list_dir {d} {:?}", fs.list_dir(&d)));
+        }
+    }
+    for dir in FS_DIRS {
+        for name in FS_NAMES {
+            for suffix in ["", ".wcry", ".WCRY.wcry"] {
+                let p = format!("{dir}\\{name}{suffix}").to_ascii_uppercase();
+                out.push(format!("exists {p} {}", fs.exists(&p)));
+                out.push(format!("node {p} {:?}", fs.node(&p)));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn fs_overlay_matches_fresh_store() {
+    let ops = |g: &mut Gen| (g.vec(0..16, fs_write), g.vec(1..24, fs_write));
+    check("fs_overlay_matches_fresh_store", DEFAULT_CASES, ops, |(preset, run)| {
+        let mut fresh = FileSystem::new();
+        let mut overlay = FileSystem::new();
+        for op in &preset {
+            apply_fs(&mut fresh, op);
+            apply_fs(&mut overlay, op);
+        }
+        let kept = overlay.clone();
+        let kept_before = fs_answers(&kept);
+        for op in &run {
+            assert_eq!(apply_fs(&mut overlay, op), apply_fs(&mut fresh, op), "{op:?}");
+        }
+        assert_eq!(fs_answers(&overlay), fs_answers(&fresh));
+        assert_eq!(fs_answers(&kept), kept_before, "the clone changed");
+    });
+}
+
+// ---------------------------------------------------------------------------
 // trace / verdict invariants
 // ---------------------------------------------------------------------------
 
