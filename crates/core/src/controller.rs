@@ -6,7 +6,7 @@
 //! injects `scarecrow.dll`, collects the fingerprint triggers the DLL
 //! reports, and records self-spawn-loop alarms.
 
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use hooklib::{DllImage, Injector};
 use tracer::{
@@ -16,7 +16,7 @@ use winsim::{Api, Machine, Pid, SimError};
 
 use crate::config::Config;
 use crate::crawler;
-use crate::engine::{DeceptionHook, EngineState};
+use crate::engine::{DeceptionHook, EngineState, POISONED};
 use crate::ipc::Trigger;
 use crate::profiles::Profile;
 use crate::resources::{ResourceDb, ResourceStats};
@@ -71,6 +71,11 @@ impl ProtectedRun {
 pub struct Scarecrow {
     state: Arc<EngineState>,
     flight: FlightConfig,
+    /// The injector for the current configuration, built with the engine
+    /// and rebuilt by [`Scarecrow::update_config`]. It lives here, not in
+    /// `EngineState`: its hooks hold the state, so storing it there would
+    /// form a reference cycle.
+    injector: RwLock<Arc<Injector>>,
 }
 
 impl std::fmt::Debug for Scarecrow {
@@ -153,7 +158,28 @@ impl ScarecrowBuilder {
                 Profile::all().iter().map(|p| p.name()),
             ))));
         }
-        Scarecrow { state: Arc::new(state), flight: self.flight }
+        let state = Arc::new(state);
+        let injector = RwLock::new(Arc::new(build_injector(&state)));
+        Scarecrow { state, flight: self.flight, injector }
+    }
+}
+
+/// A fresh `scarecrow.dll` image whose hooks share `state`.
+fn dll_image(state: &Arc<EngineState>) -> DllImage {
+    let mut dll = DllImage::new(DLL_NAME);
+    for &api in state.rule_set().hooked_apis() {
+        dll.hook(api, Arc::new(DeceptionHook::new(Arc::clone(state))));
+    }
+    dll
+}
+
+/// An injector of [`dll_image`] for the state's current configuration;
+/// it follows children unless `follow_children` is off.
+fn build_injector(state: &Arc<EngineState>) -> Injector {
+    if state.config().follow_children {
+        Injector::new(dll_image(state))
+    } else {
+        Injector::without_follow(dll_image(state))
     }
 }
 
@@ -223,11 +249,14 @@ impl Scarecrow {
     /// Dynamically reconfigures the engine — the Section III-B IPC path:
     /// every already injected DLL observes the change on its next
     /// intercepted call, without re-injection. The rule set is rebuilt
-    /// from the new configuration in the same swap.
+    /// from the new configuration in the same swap, and right after it the
+    /// injector that later [`Scarecrow::run_protected`] and
+    /// [`Scarecrow::protect_process`] calls inject with.
     pub fn update_config<F: FnOnce(&mut Config)>(&self, f: F) {
         let mut cfg = self.state.config().as_ref().clone();
         f(&mut cfg);
         self.state.swap_config(cfg);
+        *self.injector.write().expect(POISONED) = Arc::new(self.injector());
     }
 
     /// The rule set derived from the current configuration — what
@@ -253,27 +282,28 @@ impl Scarecrow {
 
     /// Builds a fresh `scarecrow.dll` image sharing this engine's state.
     pub fn dll_image(&self) -> DllImage {
-        let mut dll = DllImage::new(DLL_NAME);
-        for api in self.hooked_apis() {
-            dll.hook(api, Arc::new(DeceptionHook::new(Arc::clone(&self.state))));
-        }
-        dll
+        dll_image(&self.state)
     }
 
-    /// Builds the injector (child-following per configuration).
+    /// Builds a fresh injector for the current configuration
+    /// (child-following per `follow_children`, one hook per hooked API).
+    /// The engine itself builds one when it is built and one per
+    /// [`Scarecrow::update_config`], and protects every process with it,
+    /// so this cost is paid per configuration, not per run.
     pub fn injector(&self) -> Injector {
-        if self.state.config().follow_children {
-            Injector::new(self.dll_image())
-        } else {
-            Injector::without_follow(self.dll_image())
-        }
+        build_injector(&self.state)
     }
 
     /// Installs the engine into an *already running* process — the
     /// "on-demand service" deployment for processes not started by the
     /// controller.
     pub fn protect_process(&self, machine: &mut Machine, pid: Pid) {
-        self.injector().inject(machine, pid);
+        self.current_injector().inject(machine, pid);
+    }
+
+    /// The injector built for the current configuration.
+    fn current_injector(&self) -> Arc<Injector> {
+        Arc::clone(&*self.injector.read().expect(POISONED))
     }
 
     /// Runs one sample under full protection: reset per-run state, start a
@@ -307,7 +337,7 @@ impl Scarecrow {
         }
         let controller = machine.add_system_process(CONTROLLER_IMAGE);
         machine.set_trace_root(image);
-        let pid = self.injector().launch_injected(machine, image, controller)?;
+        let pid = self.current_injector().launch_injected(machine, image, controller)?;
         machine.run();
         let flight = if standalone_flight {
             // No baseline run here, so deactivation cannot be judged.
@@ -332,7 +362,7 @@ impl Scarecrow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc as StdArc;
+    use std::sync::{Arc as StdArc, Mutex};
     use winsim::{ProcessCtx, Program, System};
 
     /// The canonical evasive sample: checks the debugger, then drops.
@@ -490,6 +520,63 @@ mod tests {
             c.rule_overrides.clear();
         });
         assert_eq!(engine.hooked_apis().len(), before);
+    }
+
+    /// Per process: its image and whether `FindWindow` and
+    /// `IsDebuggerPresent` are hooked in it.
+    type PrologueLog = StdArc<Mutex<Vec<(&'static str, bool, bool)>>>;
+
+    /// Logs its own process into a [`PrologueLog`], then spawns its
+    /// child, if it has one.
+    struct PrologueProbe {
+        image: &'static str,
+        child: Option<&'static str>,
+        log: PrologueLog,
+    }
+    impl Program for PrologueProbe {
+        fn image_name(&self) -> &str {
+            self.image
+        }
+        fn run(&self, ctx: &mut ProcessCtx<'_>) {
+            let hooked = |api| hooklib::check_hook(&ctx.read_api_prologue(api));
+            let entry = (self.image, hooked(Api::FindWindow), hooked(Api::IsDebuggerPresent));
+            self.log.lock().unwrap().push(entry);
+            if let Some(child) = self.child {
+                ctx.create_process(child);
+            }
+        }
+    }
+
+    #[test]
+    fn update_config_rebuilds_the_held_injector() {
+        let engine = Scarecrow::with_builtin_db(Config::default());
+        let probe = |engine: &Scarecrow| {
+            let log = PrologueLog::default();
+            let mut m = Machine::new(System::new());
+            for (image, child) in [("parent.exe", Some("child.exe")), ("child.exe", None)] {
+                m.register_program(StdArc::new(PrologueProbe {
+                    image,
+                    child,
+                    log: StdArc::clone(&log),
+                }));
+            }
+            engine.run_protected(&mut m, "parent.exe").unwrap();
+            let log = log.lock().unwrap().clone();
+            log
+        };
+        let hooked = [("parent.exe", true, true), ("child.exe", true, true)];
+        assert_eq!(probe(&engine), hooked);
+        engine.update_config(|c| {
+            c.rule_overrides.insert("gui".to_owned(), false);
+        });
+        assert_eq!(probe(&engine), [("parent.exe", false, true), ("child.exe", false, true)]);
+        engine.update_config(|c| {
+            c.rule_overrides.clear();
+            c.follow_children = false;
+        });
+        assert_eq!(probe(&engine), [("parent.exe", true, true), ("child.exe", false, false)]);
+        engine.update_config(|c| *c = Config::default());
+        assert_eq!(probe(&engine), hooked);
     }
 
     #[test]

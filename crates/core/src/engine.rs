@@ -68,7 +68,7 @@ impl std::fmt::Debug for EngineState {
 
 /// Every engine lock guards a short update that cannot panic; no lock is
 /// held across a rule or a hook. A poisoned lock is therefore a bug.
-const POISONED: &str = "engine state lock poisoned";
+pub(crate) const POISONED: &str = "engine state lock poisoned";
 
 /// Fake (subkey count, value count) pair for one worn registry key.
 type WearCounts = (Option<u64>, Option<u64>);

@@ -605,9 +605,8 @@ impl Machine {
             Api::RegEnumKeyEx => {
                 let path = args.str(0);
                 let index = args.u64(1) as usize;
-                let subkeys = m.sys.registry.subkeys(path);
-                match subkeys.get(index) {
-                    Some(name) => Value::Str(name.clone()),
+                match m.sys.registry.subkey(path, index) {
+                    Some(name) => Value::Str(name.to_owned()),
                     None => Value::Status(NtStatus::NoMoreEntries),
                 }
             }

@@ -78,6 +78,30 @@ struct KeyNode {
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     keys: Overlay<KeyNode>,
+    /// [`Registry::quota_used_bytes`], kept up to date by every write.
+    quota: u64,
+}
+
+/// Modeled per-key overhead of the hive (cells, security, names).
+const KEY_BYTES: u64 = 1024;
+
+/// Modeled hive bytes of one value: name, a fixed cell overhead, payload.
+fn value_bytes(name: &str, value: &RegValue) -> u64 {
+    let payload = match value {
+        RegValue::Sz(s) => s.len() as u64 * 2,
+        RegValue::Dword(_) => 4,
+        RegValue::Qword(_) => 8,
+        RegValue::Binary(b) => b.len() as u64,
+        RegValue::MultiSz(l) => l.iter().map(|s| s.len() as u64 * 2 + 2).sum(),
+    };
+    name.len() as u64 + 64 + payload
+}
+
+impl KeyNode {
+    /// Modeled hive bytes of the key and its values.
+    fn bytes(&self) -> u64 {
+        KEY_BYTES + self.values.iter().map(|(name, (_, v))| value_bytes(name, v)).sum::<u64>()
+    }
 }
 
 /// Normalization is allocation-free when the path is already trimmed and
@@ -115,6 +139,7 @@ impl Registry {
             if !self.keys.insert_absent(n[..end].to_owned(), node) {
                 break;
             }
+            self.quota += KEY_BYTES;
         }
     }
 
@@ -139,7 +164,12 @@ impl Registry {
             self.create_key(path);
         }
         let node = self.keys.get_mut(&n).expect("key just created");
-        node.values.insert(name.to_ascii_lowercase(), (name.to_owned(), value));
+        self.quota += value_bytes(name, &value);
+        if let Some((_, old)) =
+            node.values.insert(name.to_ascii_lowercase(), (name.to_owned(), value))
+        {
+            self.quota -= value_bytes(name, &old);
+        }
     }
 
     /// Reads a value.
@@ -152,9 +182,10 @@ impl Registry {
 
     /// Deletes a value; returns whether it existed.
     pub fn delete_value(&mut self, path: &str, name: &str) -> bool {
-        if self.value(path, name).is_none() {
+        let Some(old) = self.value(path, name) else {
             return false;
-        }
+        };
+        self.quota -= value_bytes(name, old);
         self.keys
             .get_mut(&norm(path))
             .is_some_and(|k| k.values.remove(&name.to_ascii_lowercase()).is_some())
@@ -164,48 +195,60 @@ impl Registry {
     pub fn delete_key(&mut self, path: &str) -> usize {
         let n = norm(path).into_owned();
         let prefix = format!("{n}\\");
+        let mut freed = 0;
         let doomed: Vec<String> = self
             .keys
             .range_from(&n)
             .take_while(|(k, _)| *k == n || k.starts_with(&prefix))
-            .map(|(k, _)| k.to_owned())
+            .map(|(k, node)| {
+                freed += node.bytes();
+                k.to_owned()
+            })
             .collect();
         for k in &doomed {
             self.keys.remove(k);
         }
+        self.quota -= freed;
         doomed.len()
     }
 
     /// Number of *direct* subkeys of `path` (what `NtQueryKey` reports).
     pub fn subkey_count(&self, path: &str) -> usize {
-        self.subkeys(path).len()
+        self.direct_subkeys(path).count()
     }
 
     /// Names (leaf components, display casing) of direct subkeys.
     pub fn subkeys(&self, path: &str) -> Vec<String> {
-        let n = norm(path);
-        let prefix = format!("{n}\\");
-        let mut out = Vec::new();
-        let mut last: Option<String> = None;
-        for (k, node) in self.keys.range_from(&prefix) {
-            if !k.starts_with(&prefix) {
-                break;
-            }
-            let rest = &k[prefix.len()..];
-            let leaf_norm = rest.split('\\').next().unwrap_or(rest).to_owned();
-            if last.as_deref() != Some(&leaf_norm) {
-                // direct child: display name from its own node when the child
-                // key itself exists, otherwise derive from a descendant path
-                let display = if rest == leaf_norm {
-                    node.display.rsplit('\\').next().unwrap_or("").to_owned()
+        self.direct_subkeys(path).map(str::to_owned).collect()
+    }
+
+    /// The `index`-th entry of [`Registry::subkeys`] (what `RegEnumKeyEx`
+    /// returns), without building the list.
+    pub fn subkey(&self, path: &str, index: usize) -> Option<&str> {
+        self.direct_subkeys(path).nth(index)
+    }
+
+    /// Leaf names of the direct subkeys of `path`, in key order: the display
+    /// leaf of the child's own node when the child key exists, otherwise
+    /// the normalized leaf of the descendant path it is derived from.
+    fn direct_subkeys<'a>(&'a self, path: &str) -> impl Iterator<Item = &'a str> + 'a {
+        let prefix = format!("{}\\", norm(path));
+        let mut last = None;
+        self.keys
+            .range_from(&prefix)
+            .map_while(move |(k, node)| Some((k.strip_prefix(prefix.as_str())?, node)))
+            .filter_map(move |(rest, node)| {
+                let leaf = rest.split('\\').next().unwrap_or(rest);
+                if last == Some(leaf) {
+                    return None;
+                }
+                last = Some(leaf);
+                Some(if rest == leaf {
+                    node.display.rsplit('\\').next().unwrap_or("")
                 } else {
-                    leaf_norm.clone()
-                };
-                out.push(display);
-                last = Some(leaf_norm);
-            }
-        }
-        out
+                    leaf
+                })
+            })
     }
 
     /// Number of values stored directly under `path`.
@@ -247,26 +290,14 @@ impl Registry {
 
     /// Approximate hive size in bytes, for `SystemRegistryQuotaInformation`.
     ///
-    /// Modeled as a fixed per-key overhead plus value payload sizes,
-    /// calibrated so a years-old end-user hive measures in the tens of
-    /// megabytes (larger than the ~53 MB a typical sandbox image reports)
-    /// while a pristine image stays small.
+    /// Modeled as a fixed 1024-byte overhead per key plus, per value, its
+    /// name length, 64 bytes, and its payload (two bytes per string
+    /// character), calibrated so a years-old end-user hive measures in the
+    /// tens of megabytes (larger than the ~53 MB a typical sandbox image
+    /// reports) while a pristine image stays small. The count is
+    /// maintained by every write, so reading it is O(1).
     pub fn quota_used_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        for (_, node) in self.keys.iter() {
-            total += 1024; // per-key overhead (cells + security + names)
-            for (name, (_, v)) in &node.values {
-                total += name.len() as u64 + 64;
-                total += match v {
-                    RegValue::Sz(s) => s.len() as u64 * 2,
-                    RegValue::Dword(_) => 4,
-                    RegValue::Qword(_) => 8,
-                    RegValue::Binary(b) => b.len() as u64,
-                    RegValue::MultiSz(l) => l.iter().map(|s| s.len() as u64 * 2 + 2).sum(),
-                };
-            }
-        }
-        total
+        self.quota
     }
 
     /// Whether two registries read from the same shared base.
@@ -359,6 +390,50 @@ mod tests {
             big.set_value(r"HKLM\A", &format!("v{i}"), RegValue::Sz("x".repeat(50)));
         }
         assert!(big.quota_used_bytes() > small.quota_used_bytes());
+    }
+
+    #[test]
+    fn quota_follows_every_write() {
+        // 1024 a key; a value is its name length + 64 + its payload
+        let mut r = Registry::new();
+        r.set_value(r"HKLM\A", "Name", RegValue::Sz("abc".into()));
+        assert_eq!(r.quota_used_bytes(), 2 * 1024 + (4 + 64 + 6));
+        r.set_value(r"HKLM\A", "NAME", RegValue::Sz("abcdefgh".into()));
+        assert_eq!(r.quota_used_bytes(), 2 * 1024 + (4 + 64 + 16), "overwritten by a longer value");
+        r.set_value(r"HKLM\A", "name", RegValue::Dword(1));
+        assert_eq!(r.quota_used_bytes(), 2 * 1024 + (4 + 64 + 4), "overwritten by a shorter value");
+        r.create_key(r"hklm\a");
+        assert_eq!(r.quota_used_bytes(), 2 * 1024 + (4 + 64 + 4), "create_key of a live key");
+    }
+
+    #[test]
+    fn quota_follows_deletes_on_a_snapshot_clone() {
+        let mut base = Registry::new();
+        base.set_value(r"HKLM\A\B", "v", RegValue::Dword(1));
+        base.set_value(r"HKLM\A\B\C", "w", RegValue::Qword(2));
+        base.create_key(r"HKLM\D");
+        let full = 5 * 1024 + (1 + 64 + 4) + (1 + 64 + 8);
+        assert_eq!(base.quota_used_bytes(), full);
+        let mut c = base.clone();
+        assert!(c.delete_value(r"HKLM\A\B", "V"));
+        assert!(!c.delete_value(r"HKLM\A\B", "v"));
+        assert_eq!(c.quota_used_bytes(), full - (1 + 64 + 4));
+        assert_eq!(c.delete_key(r"HKLM\A"), 3);
+        assert_eq!(c.quota_used_bytes(), 2 * 1024, "HKLM and D are left");
+        assert_eq!(base.quota_used_bytes(), full, "the base is unchanged");
+    }
+
+    #[test]
+    fn quota_counts_a_key_recreated_over_a_tombstone() {
+        let mut base = Registry::new();
+        base.set_value(r"HKLM\A\B", "v", RegValue::Dword(1));
+        let mut c = base.clone();
+        assert_eq!(c.delete_key(r"HKLM\A"), 2);
+        c.create_key(r"HKLM\A\B");
+        assert_eq!(c.quota_used_bytes(), 3 * 1024, "recreated without the old value");
+        c.set_value(r"HKLM\A\B", "v", RegValue::Sz("xyz".into()));
+        assert_eq!(c.quota_used_bytes(), 3 * 1024 + (1 + 64 + 6));
+        assert_eq!(base.quota_used_bytes(), 3 * 1024 + (1 + 64 + 4));
     }
 
     #[test]

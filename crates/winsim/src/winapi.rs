@@ -13,6 +13,21 @@ use crate::process::Pid;
 use crate::program::ProcessCtx;
 use crate::values::Value;
 
+/// The strings of a list answer, moved out of their `Value::Str`s; any
+/// other answer is an empty list.
+fn strings(answer: Value) -> Vec<String> {
+    match answer {
+        Value::List(l) => l
+            .into_iter()
+            .filter_map(|v| match v {
+                Value::Str(s) => Some(s),
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
 impl ProcessCtx<'_> {
     // ---------- registry ----------
 
@@ -104,10 +119,7 @@ impl ProcessCtx<'_> {
 
     /// `FindFirstFile`-style glob; returns matching paths.
     pub fn find_files(&mut self, pattern: &str) -> Vec<String> {
-        match self.call(Api::FindFirstFile, args![pattern]) {
-            Value::List(l) => l.into_iter().filter_map(|v| v.as_str().map(str::to_owned)).collect(),
-            _ => Vec::new(),
-        }
+        strings(self.call(Api::FindFirstFile, args![pattern]))
     }
 
     /// `GetDiskFreeSpaceEx` total bytes of a drive.
@@ -183,10 +195,7 @@ impl ProcessCtx<'_> {
 
     /// `EnumProcesses`: images of all live processes.
     pub fn process_list(&mut self) -> Vec<String> {
-        match self.call(Api::EnumProcesses, args![]) {
-            Value::List(l) => l.into_iter().filter_map(|v| v.as_str().map(str::to_owned)).collect(),
-            _ => Vec::new(),
-        }
+        strings(self.call(Api::EnumProcesses, args![]))
     }
 
     /// Whether any live process has the given image name.
@@ -251,10 +260,7 @@ impl ProcessCtx<'_> {
 
     /// `NtQuerySystemInformation(SystemProcessInformation)` image list.
     pub fn nt_process_list(&mut self) -> Vec<String> {
-        match self.call(Api::NtQuerySystemInformation, args!["ProcessInformation"]) {
-            Value::List(l) => l.into_iter().filter_map(|v| v.as_str().map(str::to_owned)).collect(),
-            _ => Vec::new(),
-        }
+        strings(self.call(Api::NtQuerySystemInformation, args!["ProcessInformation"]))
     }
 
     /// `GetUserName`.
@@ -322,10 +328,7 @@ impl ProcessCtx<'_> {
 
     /// `DnsGetCacheDataTable`: cached domains.
     pub fn dns_cache_table(&mut self) -> Vec<String> {
-        match self.call(Api::DnsGetCacheDataTable, args![]) {
-            Value::List(l) => l.into_iter().filter_map(|v| v.as_str().map(str::to_owned)).collect(),
-            _ => Vec::new(),
-        }
+        strings(self.call(Api::DnsGetCacheDataTable, args![]))
     }
 
     // ---------- event log / shell / sync ----------
@@ -333,10 +336,7 @@ impl ProcessCtx<'_> {
     /// `EvtNext` over the System channel: sources of up to `limit` recent
     /// events.
     pub fn system_events(&mut self, limit: u64) -> Vec<String> {
-        match self.call(Api::EvtNext, args![limit]) {
-            Value::List(l) => l.into_iter().filter_map(|v| v.as_str().map(str::to_owned)).collect(),
-            _ => Vec::new(),
-        }
+        strings(self.call(Api::EvtNext, args![limit]))
     }
 
     /// `ShellExecuteEx`: launch an image via the shell.

@@ -4,9 +4,10 @@
 #   ./regen-results.sh              # regenerate results/*.txt and results/*.json
 #   ./regen-results.sh --check      # CI gate: cargo fmt --check, clippy
 #                                   # --all-targets -D warnings, the whole
-#                                   # workspace test suite, the eight
-#                                   # experiment binaries' stdout and the seven
-#                                   # JSON artifacts byte-equal to results/,
+#                                   # workspace test suite, a perfbench build
+#                                   # (it calls the crates' public API), the
+#                                   # eight experiment binaries' stdout and the
+#                                   # seven JSON artifacts byte-equal to results/,
 #                                   # and the telemetry / flight / rules
 #                                   # sidecars present with their schema keys
 set -e
@@ -47,6 +48,8 @@ if [ "${1:-}" = "--check" ]; then
     cargo clippy --workspace --all-targets -- -D warnings
     echo "== cargo test --workspace =="
     cargo test --workspace -q --no-fail-fast
+    echo "== building perfbench =="
+    CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
     echo "== building experiment binaries =="
     cargo build --release -p scarecrow-bench --bins
     check_dir="$(mktemp -d)"

@@ -306,8 +306,30 @@ fn reg_universe() -> Vec<String> {
     paths
 }
 
-/// What the registry answers to every query, one line per query.
+/// The hive size recomputed from the public API: 1024 bytes a key, plus
+/// name length + 64 + payload a value (two bytes a string character).
+fn quota_oracle(r: &Registry) -> u64 {
+    let value_bytes = |key: &str, name: &str| {
+        let payload = match r.value(key, name).expect("listed value exists") {
+            RegValue::Sz(s) => s.len() as u64 * 2,
+            RegValue::Dword(_) => 4,
+            RegValue::Qword(_) => 8,
+            RegValue::Binary(b) => b.len() as u64,
+            RegValue::MultiSz(l) => l.iter().map(|s| s.len() as u64 * 2 + 2).sum(),
+        };
+        name.len() as u64 + 64 + payload
+    };
+    r.key_paths()
+        .map(|k| 1024 + r.value_names(k).iter().map(|n| value_bytes(k, n)).sum::<u64>())
+        .sum()
+}
+
+/// What the registry answers to every query, one line per query. Also
+/// asserts the answers that must agree with each other: the maintained
+/// quota with [`quota_oracle`], and the subkey count and the indexed
+/// subkey with the subkey list.
 fn reg_answers(r: &Registry, universe: &[String]) -> Vec<String> {
+    assert_eq!(r.quota_used_bytes(), quota_oracle(r), "maintained quota");
     let mut out = vec![
         format!("key_count {}", r.key_count()),
         format!("key_paths {:?}", r.key_paths().collect::<Vec<_>>()),
@@ -319,7 +341,12 @@ fn reg_answers(r: &Registry, universe: &[String]) -> Vec<String> {
     for path in universe {
         for p in [path.clone(), path.to_ascii_uppercase()] {
             out.push(format!("key_exists {p} {}", r.key_exists(&p)));
-            out.push(format!("subkeys {p} {:?}", r.subkeys(&p)));
+            let subkeys = r.subkeys(&p);
+            assert_eq!(r.subkey_count(&p), subkeys.len(), "subkey_count {p}");
+            for i in 0..=subkeys.len() {
+                assert_eq!(r.subkey(&p, i), subkeys.get(i).map(String::as_str), "subkey {p} {i}");
+            }
+            out.push(format!("subkeys {p} {subkeys:?}"));
             out.push(format!("subkey_count {p} {}", r.subkey_count(&p)));
             out.push(format!("value_names {p} {:?}", r.value_names(&p)));
             out.push(format!("value_count {p} {}", r.value_count(&p)));
