@@ -228,7 +228,7 @@ fn cmd_run(name: &str, config_path: Option<&str>) {
     for t in &pair.protected.triggers {
         println!("  - {t}");
     }
-    for alarm in &pair.protected.alarms {
+    for alarm in pair.protected.alarms() {
         println!("alarm: {alarm}");
     }
     println!("\nsummary: {}", pair.protected.trigger_summary());

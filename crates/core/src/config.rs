@@ -101,11 +101,6 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The paper's deployed configuration.
-    pub fn paper_defaults() -> Self {
-        Config::default()
-    }
-
     /// Loads a configuration from a JSON file — "specific values are
     /// easily adjustable by users if needed" (Section II-B).
     ///

@@ -3,8 +3,9 @@
 //!
 //! The controller starts the target program (so the sample's parent process
 //! is the analysis-daemon-like `scarecrow.exe`, not `explorer.exe`),
-//! injects `scarecrow.dll`, collects the fingerprint triggers the DLL
-//! reports, and records self-spawn-loop alarms.
+//! injects `scarecrow.dll`, and collects the fingerprint triggers the DLL
+//! reports and the self-spawn-loop alarms it raises. Both are per-run
+//! state, so they live on the machine the run is on, not in the engine.
 
 use std::sync::{Arc, RwLock};
 
@@ -34,8 +35,6 @@ pub struct ProtectedRun {
     pub pid: Pid,
     /// Every fingerprint trigger, in order.
     pub triggers: Vec<Trigger>,
-    /// Self-spawn-loop alarms raised during the run.
-    pub alarms: Vec<String>,
     /// The kernel trace of the run.
     pub trace: Trace,
     /// Flight-recorder snapshot, when the engine was built with
@@ -49,12 +48,18 @@ impl ProtectedRun {
     pub fn first_trigger(&self) -> Option<&Trigger> {
         self.triggers.first()
     }
+
+    /// Self-spawn-loop alarms raised during the run, read from its trace.
+    pub fn alarms(&self) -> Vec<&str> {
+        self.trace.alarms().collect()
+    }
 }
 
 /// The deception engine: resource database + configuration + controller.
 ///
-/// One `Scarecrow` can protect many runs on many machines; per-run state
-/// is reset at the start of each [`Scarecrow::run_protected`].
+/// One `Scarecrow` can protect many runs on many machines at once: each
+/// run's deception state lives on its own machine
+/// ([`winsim::DeceptionRecord`]), never in the engine.
 ///
 /// # Example
 ///
@@ -70,6 +75,9 @@ impl ProtectedRun {
 /// ```
 pub struct Scarecrow {
     state: Arc<EngineState>,
+    /// The engine's telemetry recorder, attached to every machine it
+    /// protects that carries none.
+    telemetry: Option<Arc<Telemetry>>,
     flight: FlightConfig,
     /// The injector for the current configuration, built with the engine
     /// and rebuilt by [`Scarecrow::update_config`]. It lives here, not in
@@ -151,16 +159,13 @@ impl ScarecrowBuilder {
                 Arc::new(db)
             }
         };
-        let mut state = EngineState::new(self.config, db);
-        if self.telemetry {
-            state.set_telemetry(Some(Arc::new(Telemetry::new(
-                Api::telemetry_slot_names(),
-                Profile::all().iter().map(|p| p.name()),
-            ))));
-        }
-        let state = Arc::new(state);
+        let state = Arc::new(EngineState::new(self.config, db));
+        let telemetry = self.telemetry.then(|| {
+            let profiles = Profile::all().iter().map(|p| p.name());
+            Arc::new(Telemetry::new(Api::telemetry_slot_names(), profiles))
+        });
         let injector = RwLock::new(Arc::new(build_injector(&state)));
-        Scarecrow { state, flight: self.flight, injector }
+        Scarecrow { state, telemetry, flight: self.flight, injector }
     }
 }
 
@@ -216,8 +221,9 @@ impl Scarecrow {
     }
 
     /// A worker engine for a parallel sweep: same configuration, the
-    /// *same shared* database `Arc`, its own trigger log, and its own
-    /// telemetry recorder (so worker snapshots merge without contention).
+    /// *same shared* database `Arc`, its own configuration and rule locks,
+    /// and its own telemetry recorder (so worker snapshots merge without
+    /// contention).
     pub fn worker(&self) -> Scarecrow {
         Scarecrow::builder(self.config())
             .db(Arc::clone(&self.state.db))
@@ -233,12 +239,12 @@ impl Scarecrow {
 
     /// The engine's telemetry recorder, when collection is enabled.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.state.telemetry()
+        self.telemetry.as_ref()
     }
 
     /// A snapshot of the engine's telemetry, when collection is enabled.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        self.state.telemetry().map(|t| t.snapshot())
+        self.telemetry.as_ref().map(|t| t.snapshot())
     }
 
     /// A snapshot of the engine configuration.
@@ -296,9 +302,20 @@ impl Scarecrow {
 
     /// Installs the engine into an *already running* process — the
     /// "on-demand service" deployment for processes not started by the
-    /// controller.
+    /// controller. The engine's telemetry recorder is attached when the
+    /// machine carries none; the decisions land in the machine's
+    /// [`winsim::DeceptionRecord`].
     pub fn protect_process(&self, machine: &mut Machine, pid: Pid) {
+        self.attach_telemetry(machine);
         self.current_injector().inject(machine, pid);
+    }
+
+    /// Attaches the engine's telemetry recorder to a machine that carries
+    /// none.
+    fn attach_telemetry(&self, machine: &mut Machine) {
+        if machine.telemetry().is_none() {
+            machine.set_telemetry(self.telemetry.clone());
+        }
     }
 
     /// The injector built for the current configuration.
@@ -306,10 +323,10 @@ impl Scarecrow {
         Arc::clone(&*self.injector.read().expect(POISONED))
     }
 
-    /// Runs one sample under full protection: reset per-run state, start a
-    /// controller process, launch the sample as its child with
-    /// `scarecrow.dll` injected, run to completion, and collect the trace,
-    /// triggers, and alarms.
+    /// Runs one sample under full protection: clear the machine's deception
+    /// record, start a controller process, launch the sample as its child
+    /// with `scarecrow.dll` injected, run to completion, and take the trace
+    /// and the record's triggers.
     ///
     /// # Errors
     ///
@@ -320,10 +337,11 @@ impl Scarecrow {
         machine: &mut Machine,
         image: &str,
     ) -> Result<ProtectedRun, SimError> {
-        self.state.reset();
-        if machine.telemetry().is_none() {
-            machine.set_telemetry(self.state.telemetry().cloned());
-        }
+        // The run's record and trace start empty: triggers and alarms are
+        // scoped to this run, whatever the machine did before.
+        machine.take_deception();
+        machine.take_trace();
+        self.attach_telemetry(machine);
         // A harness-owned recorder (already attached) takes precedence: the
         // harness brackets samples itself with real corpus indices and
         // verdicts, and takes the recorder back after the run.
@@ -349,13 +367,9 @@ impl Scarecrow {
         } else {
             None
         };
-        Ok(ProtectedRun {
-            pid,
-            triggers: self.state.take_triggers(),
-            alarms: self.state.take_alarms(),
-            trace: machine.take_trace(),
-            flight,
-        })
+        let decisions = machine.take_deception().into_decisions();
+        let triggers = decisions.into_iter().map(Trigger::from_decision).collect();
+        Ok(ProtectedRun { pid, triggers, trace: machine.take_trace(), flight })
     }
 }
 
@@ -404,7 +418,7 @@ mod tests {
         let run = engine.run_protected(&mut m, "evader.exe").unwrap();
         assert!(!m.system().fs.exists(r"C:\evil.bin"));
         assert_eq!(run.first_trigger().unwrap().api, Api::IsDebuggerPresent);
-        assert!(run.alarms.is_empty());
+        assert!(run.alarms().is_empty());
     }
 
     #[test]
@@ -442,7 +456,7 @@ mod tests {
         let run = engine.run_protected(&mut m, "spawner.exe").unwrap();
         assert!(run.trace.self_spawn_count() > 10, "everlasting loop under deception");
         assert!(!m.system().fs.exists(r"C:\payload.bin"));
-        assert!(!run.alarms.is_empty(), "controller raised the loop alarm");
+        assert!(!run.alarms().is_empty(), "controller raised the loop alarm");
     }
 
     #[test]
@@ -585,12 +599,30 @@ mod tests {
         let mut m1 = Machine::new(System::new());
         m1.register_program(StdArc::new(Spawner));
         let r1 = engine.run_protected(&mut m1, "spawner.exe").unwrap();
-        assert!(!r1.alarms.is_empty());
+        assert!(!r1.alarms().is_empty());
         let mut m2 = Machine::new(System::new());
         m2.register_program(StdArc::new(Evader));
         let r2 = engine.run_protected(&mut m2, "evader.exe").unwrap();
-        assert!(r2.alarms.is_empty(), "alarms must not leak across runs");
+        assert!(r2.alarms().is_empty(), "alarms must not leak across runs");
         assert!(r2.triggers.iter().all(|t| t.api == Api::IsDebuggerPresent));
+    }
+
+    #[test]
+    fn a_run_on_a_used_machine_reports_only_its_own_alarms_and_triggers() {
+        let engine = Scarecrow::with_builtin_db(Config::default());
+        let mut m = Machine::new(System::new());
+        m.register_program(StdArc::new(Evader));
+        engine.run_protected(&mut m, "evader.exe").unwrap();
+        // a probe session after the first run leaves an alarm in the trace
+        let pid = m.add_system_process("probe.exe");
+        engine.protect_process(&mut m, pid);
+        for _ in 0..engine.config().spawn_alarm_threshold {
+            m.call_api(pid, Api::CreateProcess, winsim::args!["probe.exe"]);
+        }
+        assert_eq!(m.trace().alarms().count(), 1, "the probe session raised an alarm");
+        let run = engine.run_protected(&mut m, "evader.exe").unwrap();
+        assert!(run.alarms().is_empty(), "the probe's alarm is not the run's");
+        assert_eq!(run.triggers.len(), 1, "only the evader's own trigger: {:?}", run.triggers);
     }
 
     #[test]
@@ -607,5 +639,42 @@ mod tests {
         let run = engine.run_protected(&mut m, "evader.exe").unwrap();
         assert_eq!(run.triggers.len(), 1, "only the evader's own trigger: {:?}", run.triggers);
         assert_eq!(run.triggers[0].api, Api::IsDebuggerPresent);
+    }
+
+    const VMWARE_KEY: &str = r"HKLM\SOFTWARE\VMware, Inc.\VMware Tools";
+    const VBOX_KEY: &str = r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions";
+
+    /// A fresh machine with one process protected by `engine`.
+    fn protected_probe(engine: &Scarecrow) -> (Machine, Pid) {
+        let mut m = Machine::new(System::new());
+        let pid = m.add_system_process("probe.exe");
+        engine.protect_process(&mut m, pid);
+        (m, pid)
+    }
+
+    fn open_key(m: &mut Machine, pid: Pid, key: &str) -> winsim::NtStatus {
+        m.call_api(pid, Api::RegOpenKeyEx, winsim::args![key]).as_status()
+    }
+
+    #[test]
+    fn exclusive_mode_switched_on_by_update_config_takes_effect() {
+        let engine = Scarecrow::with_builtin_db(Config::default());
+        engine.update_config(|c| c.exclusive_profiles = true);
+        let (mut m, pid) = protected_probe(&engine);
+        assert_eq!(open_key(&mut m, pid, VMWARE_KEY), winsim::NtStatus::Success);
+        assert_eq!(open_key(&mut m, pid, VBOX_KEY), winsim::NtStatus::ObjectNameNotFound);
+    }
+
+    #[test]
+    fn exclusive_commitment_does_not_leak_across_machines() {
+        let engine =
+            Scarecrow::with_builtin_db(Config { exclusive_profiles: true, ..Config::default() });
+        let (mut a, pid_a) = protected_probe(&engine);
+        let (mut b, pid_b) = protected_probe(&engine);
+        assert_eq!(open_key(&mut a, pid_a, VMWARE_KEY), winsim::NtStatus::Success);
+        assert_eq!(open_key(&mut b, pid_b, VBOX_KEY), winsim::NtStatus::Success);
+        assert_eq!(open_key(&mut a, pid_a, VBOX_KEY), winsim::NtStatus::ObjectNameNotFound);
+        assert_eq!(a.deception().committed_profile, Some("VMware"));
+        assert_eq!(b.deception().committed_profile, Some("VirtualBox"));
     }
 }

@@ -6,22 +6,25 @@
 //! to the caller if any resources in SCARECROW deceptive execution
 //! environment are queried" (Section III-B). The per-API behavior lives
 //! in the declarative rule registry ([`crate::rules`]); this module owns
-//! the shared state the rules consult and the one dispatch entry point.
+//! the per-configuration data the rules consult and the one dispatch entry
+//! point. Everything one run changes — its decisions, spawn counts and
+//! committed profile — lives on the machine that runs it
+//! ([`winsim::DeceptionRecord`]).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
-use tracer::{SpanKind, Telemetry};
+use tracer::SpanKind;
 use winsim::env as wenv;
 use winsim::{ApiCall, ApiHook, Value};
 
 use crate::config::{Config, WearTearFakes};
-use crate::ipc::Trigger;
-use crate::profiles::{Profile, ProfileManager};
-use crate::resources::{Category, ResourceDb};
-use crate::rules::RuleSet;
+use crate::profiles::Profile;
+use crate::resources::ResourceDb;
+use crate::rules::{Live, RuleSet};
 
-/// Shared state between the controller and every injected DLL instance.
+/// Per-configuration data shared by the controller and every injected DLL
+/// instance; it holds nothing about any one run.
 ///
 /// The configuration sits behind a lock because the controller "dynamically
 /// updates the hooks and configurations through IPC" (Section III-B):
@@ -38,20 +41,12 @@ pub struct EngineState {
     pub wear: WearTearFakes,
     /// The deceptive resource database.
     pub db: Arc<ResourceDb>,
-    /// Profile activation (Section VI-B).
-    pub profiles: ProfileManager,
     /// The rule set derived from the current configuration.
     rules: RwLock<Arc<RuleSet>>,
     /// Normalized well-known worn registry key → (subkey fake, value
     /// fake), precomputed once so the wear-and-tear rule does not
     /// re-lowercase and re-trim every candidate key per call.
     wear_reg: HashMap<String, WearCounts>,
-    spawn_counts: Mutex<HashMap<String, usize>>,
-    /// The run's fingerprint triggers — the DLL→EXE messages of
-    /// Section III-B, in report order.
-    triggers: Mutex<Vec<Trigger>>,
-    alarms: Mutex<Vec<String>>,
-    telemetry: Option<Arc<Telemetry>>,
     /// Deceptive process names with their profiles, precomputed in db
     /// iteration order — the db is immutable after construction, so the
     /// enumeration rules need not re-collect it per call.
@@ -66,7 +61,7 @@ impl std::fmt::Debug for EngineState {
     }
 }
 
-/// Every engine lock guards a short update that cannot panic; no lock is
+/// Every engine lock guards a short swap that cannot panic; no lock is
 /// held across a rule or a hook. A poisoned lock is therefore a bug.
 pub(crate) const POISONED: &str = "engine state lock poisoned";
 
@@ -96,7 +91,6 @@ fn wear_reg_map(w: &WearTearFakes) -> HashMap<String, WearCounts> {
 impl EngineState {
     /// Creates engine state around a database.
     pub fn new(config: Config, db: Arc<ResourceDb>) -> Self {
-        let profiles = ProfileManager::new(config.exclusive_profiles);
         let proc_list =
             db.process_names().filter_map(|n| db.process(n).map(|p| (n.to_owned(), p))).collect();
         let dll_list =
@@ -108,27 +102,11 @@ impl EngineState {
             config: RwLock::new(Arc::new(config)),
             wear,
             db,
-            profiles,
             rules,
             wear_reg,
-            spawn_counts: Mutex::new(HashMap::new()),
-            triggers: Mutex::new(Vec::new()),
-            alarms: Mutex::new(Vec::new()),
-            telemetry: None,
             proc_list,
             dll_list,
         }
-    }
-
-    /// Attaches a telemetry recorder (before the state is shared); every
-    /// subsequent deception trigger is counted per API and per profile.
-    pub fn set_telemetry(&mut self, telemetry: Option<Arc<Telemetry>>) {
-        self.telemetry = telemetry;
-    }
-
-    /// The attached telemetry recorder, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
     }
 
     /// Swaps in a new configuration and rebuilds the rule set from it —
@@ -148,68 +126,6 @@ impl EngineState {
     /// The rule set derived from the current configuration.
     pub fn rule_set(&self) -> Arc<RuleSet> {
         Arc::clone(&*self.rules.read().expect(POISONED))
-    }
-
-    /// Resets per-run state (between protected runs).
-    pub fn reset(&self) {
-        self.profiles.reset();
-        self.spawn_counts.lock().expect(POISONED).clear();
-        self.triggers.lock().expect(POISONED).clear();
-        self.alarms.lock().expect(POISONED).clear();
-    }
-
-    /// Takes the triggers recorded since the last reset, in order.
-    pub fn take_triggers(&self) -> Vec<Trigger> {
-        std::mem::take(&mut *self.triggers.lock().expect(POISONED))
-    }
-
-    /// Takes the alarms recorded during the last run.
-    pub fn take_alarms(&self) -> Vec<String> {
-        std::mem::take(&mut *self.alarms.lock().expect(POISONED))
-    }
-
-    /// Records one deception decision everywhere it is observed: the
-    /// profile tracker, the telemetry counters, the flight recorder's
-    /// attribution chain (probed artifact → hooked API → profile handler →
-    /// fabricated `answer`), and the run's trigger log. Called
-    /// only by the rule dispatcher ([`RuleSet::dispatch`]), which reports
-    /// every [`crate::rules::Outcome::Deceive`] — rules cannot forget to
-    /// attribute their fabricated answers.
-    pub(crate) fn report(
-        &self,
-        call: &mut ApiCall<'_>,
-        category: Category,
-        resource: &str,
-        profile: Profile,
-        answer: &str,
-    ) {
-        self.profiles.triggered(profile);
-        if let Some(t) = &self.telemetry {
-            t.record_deception(call.api as usize, profile.name());
-        }
-        let pid = call.pid;
-        let api = call.api;
-        call.machine().flight_decision(
-            pid,
-            api,
-            &category.to_string(),
-            resource,
-            profile.name(),
-            answer,
-        );
-        let time_ms = call.machine().system().clock.now_ms();
-        self.triggers.lock().expect(POISONED).push(Trigger {
-            api,
-            category,
-            resource: resource.to_owned(),
-            profile,
-            time_ms,
-        });
-    }
-
-    /// Checks a db lookup result against profile activation.
-    pub(crate) fn active(&self, hit: Option<Profile>) -> Option<Profile> {
-        hit.filter(|p| self.profiles.active(*p))
     }
 
     /// Wear-and-tear registry override for a well-known worn key:
@@ -235,26 +151,18 @@ impl EngineState {
         &self.dll_list
     }
 
-    /// Bumps and returns the spawn count for an (already lowercased)
-    /// image name.
-    pub(crate) fn bump_spawn(&self, image: &str) -> usize {
-        let mut counts = self.spawn_counts.lock().expect(POISONED);
-        let c = counts.entry(image.to_owned()).or_insert(0);
-        *c += 1;
-        *c
-    }
-
-    /// Records a loop alarm for [`EngineState::take_alarms`].
-    pub(crate) fn push_alarm(&self, message: String) {
-        self.alarms.lock().expect(POISONED).push(message);
-    }
-
-    /// Deceptive files matching a `prefix*suffix` glob, profile-filtered.
-    pub(crate) fn db_files_matching(&self, prefix: &str, suffix: &str) -> Vec<(String, Profile)> {
+    /// Deceptive files matching a `prefix*suffix` glob, of `live`
+    /// profiles only.
+    pub(crate) fn db_files_matching(
+        &self,
+        prefix: &str,
+        suffix: &str,
+        live: Live,
+    ) -> Vec<(String, Profile)> {
         self.db
             .files_iter()
             .filter(|(path, profile)| {
-                self.profiles.active(*profile) && path.starts_with(prefix) && path.ends_with(suffix)
+                live.admits(*profile) && path.starts_with(prefix) && path.ends_with(suffix)
             })
             .map(|(path, profile)| (path.to_owned(), profile))
             .collect()
@@ -292,12 +200,18 @@ impl ApiHook for DeceptionHook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ipc::Trigger;
+    use crate::resources::Category;
     use std::sync::Arc;
-    use tracer::EventKind;
     use winsim::{args, Api, Machine, NtStatus, Pid, System};
 
     fn engine() -> Arc<EngineState> {
         Arc::new(EngineState::new(Config::default(), Arc::new(ResourceDb::builtin())))
+    }
+
+    /// Takes the triggers recorded on the machine so far.
+    fn take_triggers(m: &mut Machine) -> Vec<Trigger> {
+        m.take_deception().into_decisions().into_iter().map(Trigger::from_decision).collect()
     }
 
     fn hooked_machine(state: &Arc<EngineState>) -> (Machine, Pid) {
@@ -316,7 +230,7 @@ mod tests {
         let v =
             m.call_api(pid, Api::RegOpenKeyEx, args![r"HKLM\SOFTWARE\VMware, Inc.\VMware Tools"]);
         assert_eq!(v.as_status(), NtStatus::Success);
-        let triggers = state.take_triggers();
+        let triggers = take_triggers(&mut m);
         assert_eq!(triggers.len(), 1);
         assert_eq!(triggers[0].category, Category::Registry);
         assert_eq!(triggers[0].profile, Profile::VMware);
@@ -335,7 +249,7 @@ mod tests {
             m.call_api(pid, Api::RegOpenKeyEx, args![r"HKLM\SOFTWARE\Missing"]).as_status(),
             NtStatus::ObjectNameNotFound
         );
-        assert!(state.take_triggers().is_empty());
+        assert!(take_triggers(&mut m).is_empty());
     }
 
     #[test]
@@ -343,7 +257,7 @@ mod tests {
         let state = engine();
         let (mut m, pid) = hooked_machine(&state);
         assert_eq!(m.call_api(pid, Api::IsDebuggerPresent, args![]), Value::Bool(true));
-        assert_eq!(state.take_triggers()[0].category, Category::Debugger);
+        assert_eq!(take_triggers(&mut m)[0].category, Category::Debugger);
     }
 
     #[test]
@@ -376,11 +290,11 @@ mod tests {
             m.call_api(pid, Api::DnsQuery, args!["real.example.com"]).as_str(),
             Some("1.2.3.4")
         );
-        assert!(state.take_triggers().is_empty());
+        assert!(take_triggers(&mut m).is_empty());
         let v =
             m.call_api(pid, Api::DnsQuery, args!["iuqerfsodp9ifjaposdfjhgosurijfaewrwergwea.test"]);
         assert_eq!(v.as_str(), Some("10.11.12.13"));
-        assert_eq!(state.take_triggers()[0].category, Category::Network);
+        assert_eq!(take_triggers(&mut m)[0].category, Category::Network);
         // HTTP against the sinkholed domain answers 200
         let code = m.call_api(pid, Api::InternetOpenUrl, args!["another-nx-domain.test"]);
         assert_eq!(code.as_u64(), Some(200));
@@ -404,7 +318,7 @@ mod tests {
         let v = m.call_api(pid, Api::TerminateProcess, args![u64::from(victim)]);
         assert_eq!(v, Value::Bool(false));
         assert!(m.find_process("procmon.exe").is_some());
-        assert_eq!(state.take_triggers()[0].category, Category::Process);
+        assert_eq!(take_triggers(&mut m)[0].category, Category::Process);
         // unprotected processes still die
         let bystander = m.add_system_process("randomapp.exe");
         assert_eq!(
@@ -431,7 +345,7 @@ mod tests {
         assert_eq!(events.as_list().unwrap().len(), 8_000);
         let cache = m.call_api(pid, Api::DnsGetCacheDataTable, args![]);
         assert_eq!(cache.as_list().unwrap().len(), 4);
-        assert!(state.take_triggers().iter().all(|t| t.category == Category::WearTear));
+        assert!(take_triggers(&mut m).iter().all(|t| t.category == Category::WearTear));
     }
 
     #[test]
@@ -452,10 +366,10 @@ mod tests {
         for _ in 0..threshold {
             m.call_api(pid, Api::CreateProcess, args!["sample.exe"]);
         }
-        let alarms = state.take_alarms();
+        let alarms: Vec<_> = m.trace().alarms().collect();
         assert_eq!(alarms.len(), 1);
         assert!(alarms[0].contains("self-spawn loop"));
-        assert!(m.trace().events().iter().any(|e| matches!(e.kind, EventKind::Alarm { .. })));
+        assert_eq!(m.deception().spawn_counts["sample.exe"], threshold);
     }
 
     #[test]
@@ -487,7 +401,7 @@ mod tests {
                 .as_status(),
             NtStatus::ObjectNameNotFound
         );
-        assert!(state.take_triggers().is_empty());
+        assert!(take_triggers(&mut m).is_empty());
         // but the hooks are still *visible* to anti-hook checks
         assert!(hooklib::check_hook(&m.process(pid).unwrap().api_prologue(Api::IsDebuggerPresent)));
     }
@@ -522,7 +436,29 @@ mod tests {
             args![r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions"],
         );
         assert_eq!(v.as_status(), NtStatus::ObjectNameNotFound);
-        // generic deception (debugger) still answers
+        // debugger deception still answers, and a later trigger of another
+        // profile cannot steal the commitment
         assert_eq!(m.call_api(pid, Api::IsDebuggerPresent, args![]), Value::Bool(true));
+        assert_eq!(m.deception().committed_profile, Some("VMware"));
+        let v = m.call_api(
+            pid,
+            Api::RegOpenKeyEx,
+            args![r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions"],
+        );
+        assert_eq!(v.as_status(), NtStatus::ObjectNameNotFound);
+    }
+
+    #[test]
+    fn inclusive_mode_never_commits() {
+        let state = engine();
+        let (mut m, pid) = hooked_machine(&state);
+        let vmware = r"HKLM\SOFTWARE\VMware, Inc.\VMware Tools";
+        let vbox = r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions";
+        assert_eq!(
+            m.call_api(pid, Api::RegOpenKeyEx, args![vmware]).as_status(),
+            NtStatus::Success
+        );
+        assert_eq!(m.call_api(pid, Api::RegOpenKeyEx, args![vbox]).as_status(), NtStatus::Success);
+        assert_eq!(m.deception().committed_profile, None);
     }
 }

@@ -3,12 +3,13 @@
 //!
 //! "scarecrow.dll communicates with scarecrow.exe through interprocess
 //! communication channels when a deceptive execution environment is
-//! fingerprinted by evasive malware." In the simulation both ends share
-//! one address space: the engine appends a [`Trigger`] to the run's
-//! trigger log each time a deceptive resource answers, and the controller
-//! takes the log after the run.
+//! fingerprinted by evasive malware." In the simulation the message is
+//! the run's own record: each time a deceptive resource answers, the
+//! engine appends a [`winsim::Decision`] to the deception record of the
+//! machine the run is on, and the controller takes the record after the
+//! run and reads it as [`Trigger`]s.
 
-use winsim::Api;
+use winsim::{Api, Decision};
 
 use crate::profiles::Profile;
 use crate::resources::Category;
@@ -26,6 +27,21 @@ pub struct Trigger {
     pub profile: Profile,
     /// Virtual time of the query.
     pub time_ms: u64,
+}
+
+impl Trigger {
+    /// The trigger a decision stands for. The engine names categories and
+    /// profiles only through [`Category::name`] and [`Profile::name`], so
+    /// an unknown name is a bug and panics rather than losing a trigger.
+    pub(crate) fn from_decision(d: Decision) -> Trigger {
+        Trigger {
+            api: d.api,
+            category: Category::from_name(d.category).expect("decision names a known category"),
+            resource: d.resource,
+            profile: Profile::from_name(d.profile).expect("decision names a known profile"),
+            time_ms: d.time_ms,
+        }
+    }
 }
 
 impl std::fmt::Display for Trigger {

@@ -178,8 +178,6 @@ mod tests {
 
     #[test]
     fn learned_resources_survive_exclusive_mode() {
-        let pm = crate::profiles::ProfileManager::new(true);
-        pm.triggered(Profile::VMware);
-        assert!(pm.active(Profile::Learned), "learned resources never conflict");
+        assert!(Profile::Learned.active(true, Some("VMware")), "learned resources never conflict");
     }
 }

@@ -12,15 +12,17 @@
 //! # Architecture (paper Figure 2)
 //!
 //! * [`Scarecrow`] — the controller (`scarecrow.exe`): starts targets as
-//!   its own children, injects the engine, collects triggers and alarms;
+//!   its own children, injects the engine, and reads each run's triggers
+//!   and alarms off the machine that ran it;
 //! * [`engine::DeceptionHook`] — the injected `scarecrow.dll`: one
 //!   dispatcher over the 29 core hooked APIs (plus the 7 wear-and-tear
 //!   APIs of Table III), delegating per-API behavior to the declarative
 //!   [`rules`] registry;
 //! * [`ResourceDb`] — the deceptive resource database: curated core plus a
 //!   public-sandbox crawl ([`crawler`], Section II-C);
-//! * [`ProfileManager`] — per-platform profiles with the conflict-avoiding
-//!   exclusive mode of Section VI-B;
+//! * [`Profile`] — per-platform profiles; [`Profile::active`] is the
+//!   conflict-avoiding exclusive mode of Section VI-B, a pure function of
+//!   the configuration and the run's committed profile;
 //! * [`ipc`] — the DLL→controller trigger message.
 //!
 //! # Quick start
@@ -70,6 +72,6 @@ pub use config::{Config, ConfigError, WearTearFakes};
 pub use controller::{ProtectedRun, Scarecrow, ScarecrowBuilder, CONTROLLER_IMAGE, DLL_NAME};
 pub use ipc::Trigger;
 pub use learning::{LearnOutcome, LEARNED_VALUE_DATA};
-pub use profiles::{Profile, ProfileManager};
+pub use profiles::Profile;
 pub use resources::{Category, ResourceDb, ResourceStats};
 pub use summary::TriggerSummary;

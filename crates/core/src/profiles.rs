@@ -1,4 +1,4 @@
-//! Deception profiles and the conflict-avoiding profile manager.
+//! Deception profiles and conflict-avoiding profile activity.
 //!
 //! Scarecrow integrates deceptive resources from *many* analysis platforms
 //! at once, which a Scarecrow-aware attacker could detect by looking for
@@ -6,10 +6,10 @@
 //! belong to multiple VMs simultaneously", Section VI-B). The proposed
 //! counter-measure — "prepare multiple profiles … if one property of any
 //! individual profile is triggered, we can disable all other profiles
-//! immediately" — is implemented here as [`ProfileManager`] in exclusive
-//! mode.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! immediately" — is [`Config::exclusive_profiles`](crate::Config): each
+//! run commits to the first platform profile it fingerprints (the
+//! machine's [`winsim::DeceptionRecord`] holds the commitment), and
+//! [`Profile::active`] silences every other platform from then on.
 
 /// The analysis platform a deceptive resource impersonates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,25 +49,6 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// All concrete platform profiles (excluding the always-on
-    /// [`Profile::Generic`]).
-    pub fn platforms() -> &'static [Profile] {
-        &[
-            Profile::VMware,
-            Profile::VirtualBox,
-            Profile::Sandboxie,
-            Profile::Cuckoo,
-            Profile::Debugger,
-            Profile::Wine,
-            Profile::Qemu,
-            Profile::Bochs,
-            Profile::Parallels,
-            Profile::Xen,
-            Profile::HyperV,
-            Profile::PublicSandbox,
-        ]
-    }
-
     /// Every profile, platform and pseudo alike (telemetry slot order).
     pub fn all() -> &'static [Profile] {
         &[
@@ -108,23 +89,26 @@ impl Profile {
         }
     }
 
-    fn id(self) -> u8 {
-        match self {
-            Profile::VMware => 1,
-            Profile::VirtualBox => 2,
-            Profile::Sandboxie => 3,
-            Profile::Cuckoo => 4,
-            Profile::Debugger => 5,
-            Profile::Wine => 6,
-            Profile::Qemu => 7,
-            Profile::Bochs => 8,
-            Profile::PublicSandbox => 9,
-            Profile::Parallels => 10,
-            Profile::Xen => 11,
-            Profile::HyperV => 12,
-            Profile::Learned => 0,
-            Profile::Generic => 0,
-        }
+    /// The profile named `name`, the inverse of [`Profile::name`].
+    pub fn from_name(name: &str) -> Option<Profile> {
+        Profile::all().iter().copied().find(|p| p.name() == name)
+    }
+
+    /// Whether a trigger of this profile commits an exclusive-mode run:
+    /// every platform profile does; generic and learned resources never
+    /// conflict with one.
+    pub fn commits(self) -> bool {
+        !matches!(self, Profile::Generic | Profile::Learned)
+    }
+
+    /// Whether this profile's resources answer, given the configuration's
+    /// `exclusive` mode and the run's `committed` profile name:
+    ///
+    /// * **inclusive mode** (the paper's deployed configuration): always;
+    /// * **exclusive mode** (Section VI-B): until the run commits, then only
+    ///   the committed profile and the profiles that never commit.
+    pub fn active(self, exclusive: bool, committed: Option<&str>) -> bool {
+        !exclusive || !self.commits() || committed.is_none_or(|c| c == self.name())
     }
 }
 
@@ -134,112 +118,36 @@ impl std::fmt::Display for Profile {
     }
 }
 
-/// Tracks which profiles are currently answering.
-///
-/// * **Inclusive mode** (the paper's deployed configuration): every profile
-///   answers all the time.
-/// * **Exclusive mode** (Section VI-B): all profiles answer until the first
-///   platform-profile trigger; from then on only the triggered profile
-///   (plus [`Profile::Generic`]) answers.
-///
-/// Lock-free: the committed profile is a single atomic byte, because hook
-/// handlers on the hot path consult it on every resource lookup.
-#[derive(Debug)]
-pub struct ProfileManager {
-    exclusive: bool,
-    /// 0xFF = no commitment yet; otherwise the committed profile id.
-    committed: AtomicU8,
-}
-
-const UNCOMMITTED: u8 = 0xFF;
-
-impl ProfileManager {
-    /// Creates a manager in inclusive (`exclusive = false`) or exclusive
-    /// mode.
-    pub fn new(exclusive: bool) -> Self {
-        ProfileManager { exclusive, committed: AtomicU8::new(UNCOMMITTED) }
-    }
-
-    /// Whether resources of `profile` should currently answer.
-    pub fn active(&self, profile: Profile) -> bool {
-        if !self.exclusive || matches!(profile, Profile::Generic | Profile::Learned) {
-            return true;
-        }
-        match self.committed.load(Ordering::Relaxed) {
-            UNCOMMITTED => true,
-            id => id == profile.id(),
-        }
-    }
-
-    /// Records that a resource of `profile` was fingerprinted. In exclusive
-    /// mode the first platform trigger commits the manager to that profile.
-    pub fn triggered(&self, profile: Profile) {
-        if !self.exclusive || matches!(profile, Profile::Generic | Profile::Learned) {
-            return;
-        }
-        let _ = self.committed.compare_exchange(
-            UNCOMMITTED,
-            profile.id(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// The committed profile, if any.
-    pub fn committed(&self) -> Option<Profile> {
-        match self.committed.load(Ordering::Relaxed) {
-            UNCOMMITTED | 0 => None,
-            id => Profile::platforms().iter().copied().find(|p| p.id() == id),
-        }
-    }
-
-    /// Resets commitment (between protected runs).
-    pub fn reset(&self) {
-        self.committed.store(UNCOMMITTED, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn inclusive_mode_keeps_everything_active() {
-        let pm = ProfileManager::new(false);
-        pm.triggered(Profile::VMware);
-        assert!(pm.active(Profile::VirtualBox));
-        assert!(pm.committed().is_none());
+        assert!(Profile::VirtualBox.active(false, Some("VMware")));
     }
 
     #[test]
-    fn exclusive_mode_commits_to_first_trigger() {
-        let pm = ProfileManager::new(true);
-        assert!(pm.active(Profile::VMware));
-        assert!(pm.active(Profile::VirtualBox));
-        pm.triggered(Profile::VMware);
-        assert_eq!(pm.committed(), Some(Profile::VMware));
-        assert!(pm.active(Profile::VMware));
-        assert!(!pm.active(Profile::VirtualBox), "conflicting profile must go silent");
-        assert!(pm.active(Profile::Generic), "generic traits never conflict");
-        // a later trigger cannot steal the commitment
-        pm.triggered(Profile::Bochs);
-        assert_eq!(pm.committed(), Some(Profile::VMware));
+    fn exclusive_mode_answers_only_the_committed_profile() {
+        assert!(Profile::VMware.active(true, None));
+        assert!(Profile::VirtualBox.active(true, None));
+        assert!(Profile::VMware.active(true, Some("VMware")));
+        assert!(!Profile::VirtualBox.active(true, Some("VMware")), "conflicting profile is silent");
+        assert!(Profile::Generic.active(true, Some("VMware")), "generic traits never conflict");
+        assert!(Profile::Learned.active(true, Some("VMware")), "learned resources never conflict");
     }
 
     #[test]
-    fn generic_triggers_do_not_commit() {
-        let pm = ProfileManager::new(true);
-        pm.triggered(Profile::Generic);
-        assert!(pm.committed().is_none());
-        assert!(pm.active(Profile::Qemu));
+    fn only_platform_profiles_commit() {
+        assert!(Profile::VMware.commits() && Profile::PublicSandbox.commits());
+        assert!(!Profile::Generic.commits() && !Profile::Learned.commits());
     }
 
     #[test]
-    fn reset_clears_commitment() {
-        let pm = ProfileManager::new(true);
-        pm.triggered(Profile::Wine);
-        pm.reset();
-        assert!(pm.committed().is_none());
-        assert!(pm.active(Profile::Sandboxie));
+    fn names_round_trip() {
+        for &p in Profile::all() {
+            assert_eq!(Profile::from_name(p.name()), Some(p));
+        }
+        assert_eq!(Profile::from_name("not-a-profile"), None);
     }
 }

@@ -40,9 +40,24 @@ pub enum Category {
     Identity,
 }
 
-impl std::fmt::Display for Category {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl Category {
+    const ALL: [Category; 11] = [
+        Category::File,
+        Category::Device,
+        Category::Process,
+        Category::Dll,
+        Category::Window,
+        Category::Registry,
+        Category::Hardware,
+        Category::Debugger,
+        Category::Network,
+        Category::WearTear,
+        Category::Identity,
+    ];
+
+    /// Stable lower-case name (also the `Display` form).
+    pub fn name(self) -> &'static str {
+        match self {
             Category::File => "file",
             Category::Device => "device",
             Category::Process => "process",
@@ -54,8 +69,18 @@ impl std::fmt::Display for Category {
             Category::Network => "network",
             Category::WearTear => "wear-and-tear",
             Category::Identity => "identity",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// The category named `name`, the inverse of [`Category::name`].
+    pub fn from_name(name: &str) -> Option<Category> {
+        Category::ALL.into_iter().find(|c| c.name() == name)
+    }
+}
+
+impl std::fmt::Display for Category {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -457,6 +482,14 @@ impl ResourceDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn category_names_round_trip() {
+        for c in Category::ALL {
+            assert_eq!(Category::from_name(c.name()), Some(c));
+        }
+        assert_eq!(Category::from_name("not-a-category"), None);
+    }
 
     #[test]
     fn builtin_cardinalities_match_the_paper() {

@@ -7,7 +7,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Live, Outcome, Tier};
 
 /// Answers file-existence probes for the planted analysis-tool and guest
 /// addition paths, resolves `\\.\` opens against the deceptive device
@@ -41,10 +41,11 @@ impl DeceptionRule for FilesystemRule {
         cfg.software
     }
 
-    fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+    fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+        let live = Live::of(cfg, call);
         match call.api {
             Api::NtQueryAttributesFile | Api::GetFileAttributes => {
-                if let Some(p) = state.active(state.db.file(call.args.str(0))) {
+                if let Some(p) = live.hit(state.db.file(call.args.str(0))) {
                     let path = call.args.str(0).to_owned();
                     return match call.api {
                         Api::GetFileAttributes => Outcome::Deceive(
@@ -64,10 +65,8 @@ impl DeceptionRule for FilesystemRule {
                     return Outcome::Pass;
                 }
                 let hit = match call.args.str(0).strip_prefix(r"\\.\") {
-                    Some(dev) => state.active(state.db.device(dev)).map(|p| (Category::Device, p)),
-                    None => {
-                        state.active(state.db.file(call.args.str(0))).map(|p| (Category::File, p))
-                    }
+                    Some(dev) => live.hit(state.db.device(dev)).map(|p| (Category::Device, p)),
+                    None => live.hit(state.db.file(call.args.str(0))).map(|p| (Category::File, p)),
                 };
                 if let Some((category, p)) = hit {
                     let path = call.args.str(0).to_owned();
@@ -88,7 +87,7 @@ impl DeceptionRule for FilesystemRule {
                 };
                 let mut hit = None;
                 let mut added = 0u64;
-                for (path, profile) in state.db_files_matching(&prefix, &suffix) {
+                for (path, profile) in state.db_files_matching(&prefix, &suffix, live) {
                     hit = Some(profile);
                     added += 1;
                     merged.push(Value::Str(path));

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Live, Outcome, Tier};
 
 /// Answers `FindWindow` probes (by class or title) for the planted
 /// analysis-tool windows — OllyDbg, Wireshark, Process Monitor and
@@ -34,10 +34,11 @@ impl DeceptionRule for GuiRule {
         cfg.software
     }
 
-    fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
-        let hit = state
-            .active(state.db.window(call.args.str(0)))
-            .or_else(|| state.active(state.db.window(call.args.str(1))));
+    fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+        let live = Live::of(cfg, call);
+        let hit = live
+            .hit(state.db.window(call.args.str(0)))
+            .or_else(|| live.hit(state.db.window(call.args.str(1))));
         if let Some(p) = hit {
             let resource = format!("{}{}", call.args.str(0), call.args.str(1));
             return Outcome::Deceive(

@@ -10,9 +10,10 @@ use crate::resources::Category;
 use super::{DeceptionRule, Outcome, Tier};
 
 /// Counts self-spawns per image on every process creation; at the
-/// configured threshold it records the loop alarm (the paper's deployment
-/// only records), and with [`Config::active_mitigation`] on it kills the
-/// forking caller past the threshold. The counting itself is never gated
+/// configured threshold it records the loop alarm in the run's trace (the
+/// paper's deployment only records), and with
+/// [`Config::active_mitigation`] on it kills the forking caller past the
+/// threshold. The counting itself is never gated
 /// — the alarm is the headline deactivation signal of Figure 4.
 pub struct MitigationRule;
 
@@ -37,20 +38,20 @@ impl DeceptionRule for MitigationRule {
         true
     }
 
-    fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+    fn respond(&self, _state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
         let image = call.args.str(0).to_ascii_lowercase();
-        let count = state.bump_spawn(&image);
+        let count = call.machine_ref().deception().spawn_counts.get(&image).map_or(1, |c| c + 1);
+        let pid = call.pid;
+        let m = call.machine();
         if count == cfg.spawn_alarm_threshold {
-            let msg = format!("self-spawn loop: {image} created {count} times under deception");
-            state.push_alarm(msg.clone());
-            let pid = call.pid;
-            call.machine().record(pid, EventKind::Alarm { message: msg });
+            let message = format!("self-spawn loop: {image} created {count} times under deception");
+            m.record(pid, EventKind::Alarm { message });
         }
+        m.deception_mut().spawn_counts.insert(image, count);
         if cfg.active_mitigation && count > cfg.spawn_alarm_threshold {
             // Section VI-C: "could be further mitigated by killing its
             // parent processes or directly blocking forking".
-            let pid = call.pid;
-            call.machine().finish_process(pid, 137);
+            m.finish_process(pid, 137);
             return Outcome::Done(Value::U64(0));
         }
         Outcome::Pass

@@ -12,7 +12,7 @@
 //! 1. Write a unit struct implementing [`DeceptionRule`] in a new
 //!    submodule: declare the hooked APIs with their [`Tier`]s, the
 //!    [`Config`] gate, and a [`respond`](DeceptionRule::respond) that
-//!    returns an [`Outcome`] — never call `report` yourself.
+//!    returns an [`Outcome`] — never record a decision yourself.
 //! 2. Register it in [`all_rules`]. Order is load-bearing only where two
 //!    rules share an API (e.g. `NtQueryKey` consults wear-and-tear before
 //!    the software registry, like the original dispatcher).
@@ -67,9 +67,9 @@ impl Tier {
 }
 
 /// A fabricated answer, named: what artifact was probed, which profile
-/// answers, and what the caller was told. The dispatcher turns this into
-/// the profile/telemetry/flight/IPC report — rules cannot forget to
-/// attribute their lies.
+/// answers, and what the caller was told. The dispatcher records it on the
+/// run's machine ([`winsim::Machine::record_decision`]) — rules cannot
+/// forget to attribute their lies.
 #[derive(Debug, Clone)]
 pub struct Deception {
     /// Resource category of the probed artifact.
@@ -129,6 +129,32 @@ pub trait DeceptionRule: Send + Sync {
 
     /// Inspects one intercepted call and decides an [`Outcome`].
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome;
+}
+
+/// Which profiles answer one call (Section VI-B): [`Profile::active`]
+/// under the current configuration's mode and the calling run's committed
+/// profile.
+#[derive(Clone, Copy)]
+pub(crate) struct Live {
+    exclusive: bool,
+    committed: Option<&'static str>,
+}
+
+impl Live {
+    pub(crate) fn of(cfg: &Config, call: &ApiCall<'_>) -> Live {
+        let committed = call.machine_ref().deception().committed_profile;
+        Live { exclusive: cfg.exclusive_profiles, committed }
+    }
+
+    /// Whether resources of `profile` answer.
+    pub(crate) fn admits(self, profile: Profile) -> bool {
+        profile.active(self.exclusive, self.committed)
+    }
+
+    /// A database hit, kept only if its profile answers.
+    pub(crate) fn hit(self, hit: Option<Profile>) -> Option<Profile> {
+        hit.filter(|&p| self.admits(p))
+    }
 }
 
 /// Every rule, in dispatch order. Registration order is the tie-break
@@ -224,9 +250,11 @@ impl RuleSet {
     }
 
     /// The one dispatch path: asks each rule registered for the call's
-    /// API (skipping gated-off rules), reports the [`Deception`] of the
-    /// first non-[`Outcome::Pass`] answer, and falls through to the
-    /// original API when every rule declines.
+    /// API (skipping gated-off rules), records the [`Deception`] of the
+    /// first non-[`Outcome::Pass`] answer on the run's machine — in
+    /// exclusive mode, a platform profile's first answer also commits the
+    /// run to it — and falls through to the original API when every rule
+    /// declines.
     pub(crate) fn dispatch(
         &self,
         state: &EngineState,
@@ -241,7 +269,12 @@ impl RuleSet {
                 Outcome::Pass => {}
                 Outcome::Done(value) => return value,
                 Outcome::Deceive(d, value) => {
-                    state.report(call, d.category, &d.resource, d.profile, &d.answer);
+                    let (pid, api, profile) = (call.pid, call.api, d.profile.name());
+                    let m = call.machine();
+                    m.record_decision(pid, api, d.category.name(), &d.resource, profile, &d.answer);
+                    if cfg.exclusive_profiles && d.profile.commits() {
+                        m.deception_mut().committed_profile.get_or_insert(profile);
+                    }
                     return value;
                 }
             }

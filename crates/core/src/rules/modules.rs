@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Live, Outcome, Tier};
 
 /// Makes the planted guest-addition and analysis DLLs loadable: handle
 /// lookups and loads succeed with a fake module handle, module
@@ -40,10 +40,11 @@ impl DeceptionRule for ModulesRule {
         cfg.software
     }
 
-    fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+    fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+        let live = Live::of(cfg, call);
         match call.api {
             Api::GetModuleHandle | Api::LoadLibrary => {
-                if let Some(p) = state.active(state.db.dll(call.args.str(0))) {
+                if let Some(p) = live.hit(state.db.dll(call.args.str(0))) {
                     let name = call.args.str(0).to_owned();
                     return Outcome::Deceive(
                         Deception::new(Category::Dll, name, p, "module handle 0x5CA2EC20"),
@@ -57,7 +58,7 @@ impl DeceptionRule for ModulesRule {
                 let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
                 let mut first = None;
                 for (name, profile) in state.dll_list() {
-                    if state.profiles.active(*profile) {
+                    if live.admits(*profile) {
                         merged.push(Value::Str(name.clone()));
                         first.get_or_insert(*profile);
                     }
@@ -76,7 +77,7 @@ impl DeceptionRule for ModulesRule {
                 }
             }
             Api::GetProcAddress => {
-                if let Some(p) = state.active(state.db.export(call.args.str(0), call.args.str(1))) {
+                if let Some(p) = live.hit(state.db.export(call.args.str(0), call.args.str(1))) {
                     let name = format!("{}!{}", call.args.str(0), call.args.str(1));
                     return Outcome::Deceive(
                         Deception::new(Category::Dll, name, p, "export address 0x5CA2EC24"),

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Live, Outcome, Tier};
 
 /// Makes the planted analysis-tool processes observable: `OpenProcess`
 /// hands out a fake handle, and every enumeration channel (EnumProcesses,
@@ -17,11 +17,11 @@ pub struct ProcessEnumRule;
 /// Merges the active profiles' deceptive process names into an
 /// enumeration result, deduplicating case-insensitively against what the
 /// real listing already contains.
-fn merge_processes(state: &EngineState, original: &Value) -> Outcome {
+fn merge_processes(state: &EngineState, live: Live, original: &Value) -> Outcome {
     let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
     let mut first = None;
     for (name, profile) in state.proc_list() {
-        if state.profiles.active(*profile) {
+        if live.admits(*profile) {
             if !merged.iter().any(|v| v.as_str().is_some_and(|s| s.eq_ignore_ascii_case(name))) {
                 merged.push(Value::Str(name.clone()));
             }
@@ -68,10 +68,11 @@ impl DeceptionRule for ProcessEnumRule {
         cfg.software
     }
 
-    fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+    fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+        let live = Live::of(cfg, call);
         match call.api {
             Api::OpenProcess => {
-                if let Some(p) = state.active(state.db.process(call.args.str(0))) {
+                if let Some(p) = live.hit(state.db.process(call.args.str(0))) {
                     let image = call.args.str(0).to_owned();
                     return Outcome::Deceive(
                         Deception::new(Category::Process, image, p, "handle 0xFEED"),
@@ -82,14 +83,14 @@ impl DeceptionRule for ProcessEnumRule {
             }
             Api::EnumProcesses => {
                 let original = call.call_original();
-                merge_processes(state, &original)
+                merge_processes(state, live, &original)
             }
             Api::CreateToolhelp32Snapshot => {
                 let result = call.call_original();
                 if let Some(handle) = result.as_u64() {
                     let mut first = None;
                     for (name, profile) in state.proc_list() {
-                        if state.profiles.active(*profile) {
+                        if live.admits(*profile) {
                             call.machine().snapshot_append(handle, name);
                             first.get_or_insert(*profile);
                         }
@@ -113,7 +114,7 @@ impl DeceptionRule for ProcessEnumRule {
                     return Outcome::Pass;
                 }
                 let original = call.call_original();
-                merge_processes(state, &original)
+                merge_processes(state, live, &original)
             }
             _ => Outcome::Pass,
         }

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Live, Outcome, Tier};
 
 /// Protects the planted analysis-tool processes from being terminated by
 /// untrusted software: `TerminateProcess` against a deceptive process
@@ -34,10 +34,11 @@ impl DeceptionRule for ProtectionRule {
         cfg.protect_processes
     }
 
-    fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+    fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+        let live = Live::of(cfg, call);
         let target = call.args.u64(0) as Pid;
         let image = call.machine().process(target).map(|p| p.image.clone()).unwrap_or_default();
-        if let Some(p) = state.active(state.db.process(&image)) {
+        if let Some(p) = live.hit(state.db.process(&image)) {
             return Outcome::Deceive(
                 Deception::new(Category::Process, image, p, "ACCESS_DENIED"),
                 Value::Bool(false), // ACCESS_DENIED

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Live, Outcome, Tier};
 
 /// Answers registry probes with the planted VM/sandbox/debugger keys and
 /// values from the resource database. Declares the Nt-level registry APIs
@@ -41,10 +41,11 @@ impl DeceptionRule for RegistryRule {
         cfg.software
     }
 
-    fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+    fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
+        let live = Live::of(cfg, call);
         match call.api {
             Api::RegOpenKeyEx | Api::NtOpenKeyEx => {
-                if let Some(p) = state.active(state.db.reg_key(call.args.str(0))) {
+                if let Some(p) = live.hit(state.db.reg_key(call.args.str(0))) {
                     let path = call.args.str(0).to_owned();
                     return Outcome::Deceive(
                         Deception::new(Category::Registry, path, p, "STATUS_SUCCESS"),
@@ -57,7 +58,7 @@ impl DeceptionRule for RegistryRule {
                 let hit = state
                     .db
                     .reg_value(call.args.str(0), call.args.str(1))
-                    .filter(|(_, p)| state.profiles.active(*p))
+                    .filter(|&(_, p)| live.admits(p))
                     .map(|(d, p)| (d.to_owned(), p));
                 if let Some((data, p)) = hit {
                     let path = format!("{}\\{}", call.args.str(0), call.args.str(1));
@@ -71,7 +72,7 @@ impl DeceptionRule for RegistryRule {
             Api::NtQueryKey => {
                 // the wear-and-tear rule answers the well-known worn keys
                 // first (registration order); this covers planted keys
-                if let Some(p) = state.active(state.db.reg_key(call.args.str(0))) {
+                if let Some(p) = live.hit(state.db.reg_key(call.args.str(0))) {
                     let path = call.args.str(0).to_owned();
                     return Outcome::Deceive(
                         Deception::new(Category::Registry, path, p, "1"),

@@ -7,7 +7,7 @@
 //! first system resource whose answer made the sample change course. The
 //! Scarecrow paper uses MalGene twice: its 1,054-sample corpus was
 //! confirmed evasive this way, and Section II-C proposes MalGene output as
-//! the feed for "continuously learn[ing] new deceptive resources".
+//! the feed for "continuously learn\[ing\] new deceptive resources".
 //!
 //! This crate implements the pipeline over [`tracer`] traces:
 //!

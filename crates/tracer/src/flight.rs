@@ -10,7 +10,7 @@
 //! └── api_dispatch            (winsim::Machine::call_api)
 //!     └── hook_chain          (hooklib::LabeledHook::invoke)
 //!         └── handler         (core engine DeceptionHook)
-//!             └── deception_decision   (EngineState::report)
+//!             └── deception_decision   (winsim::Machine::record_decision)
 //! ```
 //!
 //! recorded as spans with **virtual-clock** timestamps (deterministic,
@@ -83,7 +83,7 @@ pub enum SpanKind {
     HookChain,
     /// A deception-engine handler deciding how to answer (core).
     Handler,
-    /// The instant a fabricated answer was chosen (`EngineState::report`).
+    /// The instant a fabricated answer was chosen (`winsim::Machine::record_decision`).
     DeceptionDecision,
 }
 

@@ -144,9 +144,10 @@ impl SlotTable {
 
 /// The cross-layer telemetry recorder.
 ///
-/// Built once per engine (or per parallel worker), shared by `Arc`, and
-/// safe to hammer from hook handlers: every record method is `&self` and
-/// lock-free.
+/// Built once per engine (or per parallel worker) and shared by `Arc` with
+/// every machine the engine protects; each layer records through the
+/// machine's attached recorder. Safe to hammer from hook handlers: every
+/// record method is `&self` and lock-free.
 pub struct Telemetry {
     api_calls: SlotTable,
     api_cost_ms: SlotTable,

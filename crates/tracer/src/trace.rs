@@ -108,6 +108,15 @@ impl Trace {
             .count()
     }
 
+    /// The messages of the alarms the controller raised during the run
+    /// (the self-spawn-loop alarm of Section VI-C), in order.
+    pub fn alarms(&self) -> impl Iterator<Item = &str> {
+        self.events.iter().filter_map(|e| match &e.kind {
+            EventKind::Alarm { message } => Some(message.as_str()),
+            _ => None,
+        })
+    }
+
     /// The set of significant activities in this trace.
     ///
     /// Significant activities are the mutations the paper looks for when
@@ -226,6 +235,14 @@ mod tests {
         tr.record(pc(1, "MAL.EXE")); // case-insensitive
         tr.record(pc(2, "other.exe"));
         assert_eq!(tr.self_spawn_count(), 2);
+    }
+
+    #[test]
+    fn alarms_lists_only_alarm_messages() {
+        let mut tr = Trace::new("mal.exe");
+        tr.record(pc(0, "mal.exe"));
+        tr.record(Event::at(1, 1, EventKind::Alarm { message: "loop".into() }));
+        assert_eq!(tr.alarms().collect::<Vec<_>>(), ["loop"]);
     }
 
     #[test]

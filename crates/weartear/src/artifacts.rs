@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, HashSet};
 use winsim::env as wenv;
 use winsim::ProcessCtx;
 
-/// Artifact category, per the five groups of [29].
+/// Artifact category, per the five groups of \[29\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WearCategory {
     /// OS-level counters (event log, processes, uptime, sizes).

@@ -3,7 +3,7 @@
 //!
 //! "The key idea was that existing dynamic analysis systems were typically
 //! implemented using operating system images in an almost pristine
-//! condition while real devices [are] usually under active use." This
+//! condition while real devices \[are\] usually under active use." This
 //! crate measures the 44 aging [`Artifact`]s through the substrate's APIs
 //! and classifies machines with a [`DecisionTree`] over the top-5
 //! artifacts — the evasion technique Scarecrow's wear-and-tear extension

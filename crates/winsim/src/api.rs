@@ -368,6 +368,12 @@ impl<'m> ApiCall<'m> {
     pub fn machine(&mut self) -> &mut Machine {
         self.machine
     }
+
+    /// The machine, read-only, for hooks that consult it while they still
+    /// borrow the call's arguments.
+    pub fn machine_ref(&self) -> &Machine {
+        self.machine
+    }
 }
 
 impl std::fmt::Debug for ApiCall<'_> {

@@ -87,7 +87,9 @@ pub use fs::{DriveInfo, FileNode, FileSystem};
 pub use gui::{Window, WindowManager};
 pub use hardware::{Hardware, HvVendor, RdtscModel};
 pub use input::InputModel;
-pub use machine::{Machine, MachineSnapshot, DEFAULT_BUDGET_MS, DEFAULT_MAX_PROCESSES};
+pub use machine::{
+    DeceptionRecord, Decision, Machine, MachineSnapshot, DEFAULT_BUDGET_MS, DEFAULT_MAX_PROCESSES,
+};
 pub use network::{DnsCacheEntry, Network, NxPolicy};
 pub use process::{Peb, Pid, ProcState, Process, DEFAULT_MODULES};
 pub use program::{ProcessCtx, Program};

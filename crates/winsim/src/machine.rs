@@ -80,6 +80,52 @@ pub struct Machine {
     /// branch per dispatch. Owned (not shared): `call_api` is `&mut self`,
     /// so recording needs no locks.
     flight: Option<FlightRecorder>,
+    /// The deception state of the current run.
+    deception: DeceptionRecord,
+}
+
+/// One deception decision: a hooked API answered a probe of `resource`
+/// with a value fabricated for `profile`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decision {
+    /// The hooked API that answered.
+    pub api: Api,
+    /// The probed resource's category.
+    pub category: &'static str,
+    /// The probed resource (path, name, key, domain, …).
+    pub resource: String,
+    /// The profile whose planted resource answered.
+    pub profile: &'static str,
+    /// Virtual time of the decision.
+    pub time_ms: u64,
+}
+
+/// The deception state of one run, owned by the machine that runs it:
+/// plain data that hooks reach through [`ApiCall::machine`]. A machine
+/// instantiated from a [`MachineSnapshot`] starts with an empty record.
+#[derive(Debug, Clone, Default)]
+pub struct DeceptionRecord {
+    /// Every decision, in order. Private: [`Machine::record_decision`] is
+    /// the only way in, so no decision skips telemetry or the flight
+    /// recorder.
+    decisions: Vec<Decision>,
+    /// Process creations seen per (lowercased) image.
+    pub spawn_counts: BTreeMap<String, usize>,
+    /// The first platform profile the run fingerprinted — the one an
+    /// exclusive-mode engine keeps answering with.
+    pub committed_profile: Option<&'static str>,
+}
+
+impl DeceptionRecord {
+    /// Every decision of the run, in order.
+    pub fn decisions(&self) -> &[Decision] {
+        &self.decisions
+    }
+
+    /// The decisions, consuming the record.
+    pub fn into_decisions(self) -> Vec<Decision> {
+        self.decisions
+    }
 }
 
 impl std::fmt::Debug for Machine {
@@ -114,6 +160,7 @@ impl Machine {
             max_processes: DEFAULT_MAX_PROCESSES,
             telemetry: None,
             flight: None,
+            deception: DeceptionRecord::default(),
         };
         let peb = Peb { being_debugged: false, number_of_processors: cores };
         let mut system_proc = Process::new(4, 0, "System", "System", peb);
@@ -185,28 +232,45 @@ impl Machine {
         }
     }
 
-    /// Records a deception decision (probed artifact → hooked API →
-    /// handler → fabricated answer) into the attached flight recorder.
-    pub fn flight_decision(
+    /// The run's deception record.
+    pub fn deception(&self) -> &DeceptionRecord {
+        &self.deception
+    }
+
+    /// Mutable access to the run's deception record.
+    pub fn deception_mut(&mut self) -> &mut DeceptionRecord {
+        &mut self.deception
+    }
+
+    /// Takes the run's deception record, leaving an empty one.
+    pub fn take_deception(&mut self) -> DeceptionRecord {
+        std::mem::take(&mut self.deception)
+    }
+
+    /// Records one deception decision, the one path every decision takes:
+    /// it appends the decision to the run's [`DeceptionRecord`], counts it
+    /// on the attached telemetry recorder, and adds its attribution step
+    /// (probed artifact → hooked API → handler → fabricated answer) to the
+    /// attached flight recorder.
+    pub fn record_decision(
         &mut self,
         pid: Pid,
         api: Api,
-        category: &str,
-        artifact: &str,
-        handler: &str,
+        category: &'static str,
+        resource: &str,
+        profile: &'static str,
         answer: &str,
     ) {
-        if let Some(f) = self.flight.as_mut() {
-            f.record_decision(
-                self.sys.clock.now_ms(),
-                u64::from(pid),
-                api.name(),
-                category,
-                artifact,
-                handler,
-                answer,
-            );
+        let time_ms = self.sys.clock.now_ms();
+        if let Some(t) = &self.telemetry {
+            t.record_deception(api as usize, profile);
         }
+        if let Some(f) = self.flight.as_mut() {
+            let pid = u64::from(pid);
+            f.record_decision(time_ms, pid, api.name(), category, resource, profile, answer);
+        }
+        let resource = resource.to_owned();
+        self.deception.decisions.push(Decision { api, category, resource, profile, time_ms });
     }
 
     /// Records a raw wall-clock observation into one of the recorder's
@@ -1027,12 +1091,13 @@ pub struct MachineSnapshot {
 
 impl MachineSnapshot {
     /// Captures the machine's current state. Any attached telemetry or
-    /// flight recorder is dropped from the template; runs instantiated
-    /// from the snapshot attach their own.
+    /// flight recorder and the deception record are dropped from the
+    /// template; runs instantiated from the snapshot attach their own.
     pub fn capture(machine: &Machine) -> Self {
         let mut template = machine.clone();
         template.telemetry = None;
         template.flight = None;
+        template.deception = DeceptionRecord::default();
         MachineSnapshot { template }
     }
 
@@ -1361,6 +1426,40 @@ mod tests {
         assert!(!fresh.flight_active());
         assert!(fresh.take_flight().is_none());
         assert!(fresh.telemetry().is_none());
+    }
+
+    #[test]
+    fn record_decision_is_the_one_write_path() {
+        use tracer::flight::FlightConfig;
+        let mut m = machine();
+        let pid = m.add_system_process("probe.exe");
+        let telemetry = Arc::new(Telemetry::new(Api::telemetry_slot_names(), ["VMware"]));
+        m.set_telemetry(Some(Arc::clone(&telemetry)));
+        m.set_flight(Some(FlightRecorder::new(FlightConfig::enabled())));
+        m.flight_mut().unwrap().begin_sample("probe.exe", 0, 0);
+        m.record_decision(pid, Api::RegOpenKeyEx, "registry", r"HKLM\VMW", "VMware", "ok");
+        m.deception_mut().committed_profile = Some("VMware");
+        m.deception_mut().spawn_counts.insert("probe.exe".into(), 3);
+        let decision = Decision {
+            api: Api::RegOpenKeyEx,
+            category: "registry",
+            resource: r"HKLM\VMW".into(),
+            profile: "VMware",
+            time_ms: m.system().clock.now_ms(),
+        };
+        assert_eq!(m.deception().decisions(), [decision]);
+        assert_eq!(telemetry.snapshot().counter(Counter::DeceptionTriggers), 1);
+        let mut flight = m.take_flight().unwrap();
+        flight.end_sample(m.system().clock.now_ms(), &tracer::Verdict::Indeterminate);
+        let attribution = flight.snapshot().attribution_for("probe.exe").cloned().unwrap();
+        assert_eq!(attribution.chain[0].answer, "ok");
+        // a snapshot never carries a run's record into the next run
+        let fresh = MachineSnapshot::capture(&m).instantiate();
+        assert!(fresh.deception().decisions().is_empty());
+        assert!(fresh.deception().spawn_counts.is_empty());
+        assert_eq!(fresh.deception().committed_profile, None);
+        assert_eq!(m.take_deception().decisions().len(), 1);
+        assert!(m.deception().decisions().is_empty());
     }
 
     /// Writes over preset keys and files: a value change, a subtree delete,

@@ -339,11 +339,6 @@ impl ProcessCtx<'_> {
         strings(self.call(Api::EvtNext, args![limit]))
     }
 
-    /// `ShellExecuteEx`: launch an image via the shell.
-    pub fn shell_execute(&mut self, image: &str) -> Pid {
-        self.call(Api::ShellExecuteEx, args![image]).as_u64().unwrap_or(0) as Pid
-    }
-
     /// `CreateMutex`; returns `true` when the mutex already existed (the
     /// infection-marker signal).
     pub fn create_mutex(&mut self, name: &str) -> bool {

@@ -3,7 +3,8 @@
 #
 #   ./regen-results.sh              # regenerate results/*.txt and results/*.json
 #   ./regen-results.sh --check      # CI gate: cargo fmt --check, clippy
-#                                   # --all-targets -D warnings, the whole
+#                                   # --all-targets -D warnings, rustdoc with
+#                                   # -D warnings, the whole
 #                                   # workspace test suite, a perfbench build
 #                                   # (it calls the crates' public API), the
 #                                   # eight experiment binaries' stdout and the
@@ -46,6 +47,8 @@ if [ "${1:-}" = "--check" ]; then
     cargo fmt --all --check
     echo "== cargo clippy --all-targets -D warnings =="
     cargo clippy --workspace --all-targets -- -D warnings
+    echo "== cargo doc -D warnings =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     echo "== cargo test --workspace =="
     cargo test --workspace -q --no-fail-fast
     echo "== building perfbench =="

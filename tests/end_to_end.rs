@@ -115,7 +115,7 @@ fn self_spawn_loop_is_detected_alarmed_and_bounded() {
     m.register_program(spawner.into_program());
     let run = engine.run_protected(&mut m, "loop.exe").unwrap();
     assert!(run.trace.self_spawn_count() > tracer::SELF_SPAWN_LOOP_THRESHOLD);
-    assert!(!run.alarms.is_empty());
+    assert!(!run.alarms().is_empty());
     // the alarm also lands in the kernel trace
     assert!(run.trace.events().iter().any(|e| matches!(&e.kind, tracer::EventKind::Alarm { .. })));
     // the substrate's cap contains the fork bomb

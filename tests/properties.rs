@@ -873,6 +873,110 @@ fn disabling_one_rule_removes_only_its_exclusive_apis() {
 }
 
 // ---------------------------------------------------------------------------
+// engine isolation: one engine, many machines
+// ---------------------------------------------------------------------------
+
+/// Planted keys of four profiles, then a key no profile plants.
+const PROBE_KEYS: &[&str] = &[
+    r"HKLM\SOFTWARE\VMware, Inc.\VMware Tools",
+    r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions",
+    r"HKLM\SOFTWARE\Wine",
+    r"HKLM\SOFTWARE\Sandboxie",
+    r"HKLM\SOFTWARE\NoSuchVendor",
+];
+
+/// The image the probing process runs as (and spawns).
+const PROBE_IMAGE: &str = "probe.exe";
+
+/// One call a probing sample makes.
+#[derive(Debug, Clone, Copy)]
+enum ProbeCall {
+    OpenKey(&'static str),
+    IsDebuggerPresent,
+    FindDebuggerWindow,
+    SpawnSelf,
+}
+
+fn probe_call(g: &mut Gen) -> ProbeCall {
+    match g.index(0..4) {
+        0 => ProbeCall::OpenKey(g.pick(PROBE_KEYS)),
+        1 => ProbeCall::IsDebuggerPresent,
+        2 => ProbeCall::FindDebuggerWindow,
+        _ => ProbeCall::SpawnSelf,
+    }
+}
+
+/// A fresh machine whose probing process `engine` protects.
+fn protected_machine(engine: &scarecrow::Scarecrow) -> (winsim::Machine, winsim::Pid) {
+    let mut m = winsim::Machine::new(winsim::System::new());
+    let pid = m.add_system_process(PROBE_IMAGE);
+    engine.protect_process(&mut m, pid);
+    (m, pid)
+}
+
+fn make_call(m: &mut winsim::Machine, pid: winsim::Pid, call: ProbeCall) -> Value {
+    use winsim::{args, Api};
+    match call {
+        ProbeCall::OpenKey(key) => m.call_api(pid, Api::RegOpenKeyEx, args![key]),
+        ProbeCall::IsDebuggerPresent => m.call_api(pid, Api::IsDebuggerPresent, args![]),
+        ProbeCall::FindDebuggerWindow => m.call_api(pid, Api::FindWindow, args!["OLLYDBG"]),
+        ProbeCall::SpawnSelf => m.call_api(pid, Api::CreateProcess, args![PROBE_IMAGE]),
+    }
+}
+
+/// What a machine's run observed: the answers, the decision log (the
+/// run's triggers), and the alarms in its trace.
+type Observed = (Vec<Value>, Vec<winsim::Decision>, Vec<String>);
+
+fn observed(m: &winsim::Machine, answers: Vec<Value>) -> Observed {
+    let alarms = m.trace().alarms().map(str::to_owned).collect();
+    (answers, m.deception().decisions().to_vec(), alarms)
+}
+
+#[test]
+fn one_engine_protects_many_machines_independently() {
+    let db = std::sync::Arc::new(scarecrow::ResourceDb::builtin());
+    let engine = |cfg: &Config| scarecrow::Scarecrow::with_db(cfg.clone(), db.clone());
+    let case = |g: &mut Gen| {
+        let cfg = Config {
+            exclusive_profiles: g.bool(),
+            active_mitigation: g.bool(),
+            spawn_alarm_threshold: g.range(2..6) as usize,
+            ..Config::default()
+        };
+        let scripts = [g.vec(0..24, probe_call), g.vec(0..24, probe_call)];
+        // which machine makes the next call, while both have calls left
+        let schedule = g.vec(0..48, |g| g.index(0..2));
+        (cfg, scripts, schedule)
+    };
+    check("one_engine_protects_many_machines_independently", DEFAULT_CASES, case, |input| {
+        let (cfg, scripts, schedule) = input;
+        let alone = scripts.clone().map(|script| {
+            let (mut m, pid) = protected_machine(&engine(&cfg));
+            let answers = script.into_iter().map(|c| make_call(&mut m, pid, c)).collect();
+            observed(&m, answers)
+        });
+        let shared = engine(&cfg);
+        let mut machines = [protected_machine(&shared), protected_machine(&shared)];
+        let mut answers = [Vec::new(), Vec::new()];
+        let mut next = [0, 0];
+        let mut turns = schedule.into_iter().chain(std::iter::repeat(0));
+        while next != [scripts[0].len(), scripts[1].len()] {
+            let mut i = turns.next().expect("the schedule never ends");
+            if next[i] == scripts[i].len() {
+                i = 1 - i;
+            }
+            let (m, pid) = &mut machines[i];
+            answers[i].push(make_call(m, *pid, scripts[i][next[i]]));
+            next[i] += 1;
+        }
+        let [a, b] = answers;
+        assert_eq!(observed(&machines[0].0, a), alone[0], "machine A");
+        assert_eq!(observed(&machines[1].0, b), alone[1], "machine B");
+    });
+}
+
+// ---------------------------------------------------------------------------
 // hook-chain invariants
 // ---------------------------------------------------------------------------
 
