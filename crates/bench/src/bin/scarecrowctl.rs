@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use harness::{Cluster, ResetStrategy, RunLimits, RunPair};
+use harness::{Cluster, RunLimits, RunPair};
 use malware_sim::samples::{cases, families, joe};
 use malware_sim::{malgene_corpus, EvasiveSample};
 use scarecrow::rules::{all_rules, DeceptionRule, RuleSet};
@@ -310,12 +310,8 @@ fn top_counts(title: &str, counts: &BTreeMap<String, u64>) {
 fn cmd_top() {
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     eprintln!("sweeping the 1,054-sample corpus with the flight recorder on ({workers} workers)…");
-    let report = figure4::run_flight(
-        RunLimits { budget_ms: 60_000, max_processes: 40 },
-        workers,
-        ResetStrategy::default(),
-        FlightConfig::enabled(),
-    );
+    let limits = RunLimits { budget_ms: 60_000, max_processes: 40 };
+    let report = figure4::run(limits, workers, FlightConfig::enabled());
     let snap = report.flight().expect("flight recorder enabled");
     let mut apis: BTreeMap<String, u64> = BTreeMap::new();
     let mut handlers: BTreeMap<String, u64> = BTreeMap::new();

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use harness::{Cluster, CorpusReport, ResetStrategy, RunLimits};
+use harness::{Cluster, CorpusReport, RunLimits};
 use malware_sim::malgene_corpus;
 use scarecrow::{Config, ResourceDb, Scarecrow};
 use tracer::FlightConfig;
@@ -16,32 +16,15 @@ pub const CORPUS_SEED: u64 = 20200629; // DSN 2020's opening day
 ///
 /// `limits.max_processes` bounds self-spawn loops (anything comfortably
 /// above the 10-spawn verdict threshold yields identical verdicts);
-/// `workers` spreads samples over independent cluster nodes.
-pub fn run(limits: RunLimits, workers: usize) -> CorpusReport {
-    run_with_reset(limits, workers, ResetStrategy::default())
-}
-
-/// [`run`], with an explicit machine reset strategy — the two strategies
-/// produce identical reports; `FactoryRebuild` exists so the snapshot
-/// path's speedup can be measured (see the rebuild oracle in `perfbench`).
-pub fn run_with_reset(limits: RunLimits, workers: usize, reset: ResetStrategy) -> CorpusReport {
-    run_flight(limits, workers, reset, FlightConfig::default())
-}
-
-/// [`run_with_reset`], with an explicit flight-recorder gate. The recorder
-/// only observes (it never charges the virtual clock), so verdicts and
-/// Figure 4 statistics are identical whether or not it is enabled.
-pub fn run_flight(
-    limits: RunLimits,
-    workers: usize,
-    reset: ResetStrategy,
-    flight: FlightConfig,
-) -> CorpusReport {
+/// `workers` spreads samples over independent cluster nodes; `flight` arms
+/// the flight recorder. The recorder only observes (it never charges the
+/// virtual clock), so verdicts and Figure 4 statistics are identical
+/// whether or not it is armed.
+pub fn run(limits: RunLimits, workers: usize, flight: FlightConfig) -> CorpusReport {
     let corpus = malgene_corpus(CORPUS_SEED);
     let engine = Scarecrow::builder(Config::default()).db(ResourceDb::builtin()).build();
     Cluster::new(Arc::new(bare_metal_sandbox), engine)
         .with_limits(limits)
-        .with_reset_strategy(reset)
         .with_flight(flight)
         .run_corpus_parallel(&corpus, workers)
 }
@@ -97,7 +80,8 @@ mod tests {
     fn full_corpus_reproduces_section4c_statistics_and_symmi_row() {
         // small process cap keeps the sweep fast; verdicts are identical
         // for any cap comfortably above the 10-spawn threshold
-        let report = run(RunLimits { budget_ms: 60_000, max_processes: 40 }, 8);
+        let limits = RunLimits { budget_ms: 60_000, max_processes: 40 };
+        let report = run(limits, 8, FlightConfig::default());
         assert_eq!(report.results().len(), 1_054);
         assert_eq!(report.deactivated(), 944, "paper: 944 (89.56%)");
         assert!((report.deactivation_rate() - 0.8956).abs() < 0.001);

@@ -73,27 +73,15 @@ fn observed_trigger(sample: &JoeSample, pair: &RunPair) -> String {
 }
 
 /// Runs the Table I experiment: each Joe sample paired on fresh bare-metal
-/// machines, exactly the paper's setup.
-pub fn run() -> Vec<Table1Row> {
-    run_with_telemetry().0
-}
-
-/// Same as [`run`], also returning the sweep's merged telemetry snapshot
-/// (API call/hook/trigger counters plus per-stage wall-clock timings).
-pub fn run_with_telemetry() -> (Vec<Table1Row>, Option<TelemetrySnapshot>) {
-    let (rows, telemetry, _) = run_full(FlightConfig::default());
-    (rows, telemetry)
-}
-
-/// Same as [`run_with_telemetry`], with an explicit flight-recorder gate.
-/// When enabled, the returned snapshot carries each Joe sample's causal
-/// spans and attribution chain — the machine-readable Table I rows.
-pub fn run_full(
-    flight: FlightConfig,
-) -> (Vec<Table1Row>, Option<TelemetrySnapshot>, Option<FlightSnapshot>) {
+/// machines, exactly the paper's setup, with the flight recorder armed.
+/// Returns the rows, the sweep's telemetry snapshot (API call/hook/trigger
+/// counters plus per-stage wall-clock timings), and the recorder's
+/// snapshot: each Joe sample's causal spans and attribution chain — the
+/// machine-readable Table I rows.
+pub fn run() -> (Vec<Table1Row>, TelemetrySnapshot, FlightSnapshot) {
     let cluster =
         Cluster::new(Arc::new(bare_metal_sandbox), Scarecrow::with_builtin_db(Config::default()))
-            .with_flight(flight);
+            .with_flight(FlightConfig::enabled());
     let rows = joe_samples()
         .into_iter()
         .enumerate()
@@ -118,7 +106,8 @@ pub fn run_full(
             }
         })
         .collect();
-    (rows, cluster.telemetry_snapshot(), cluster.flight_snapshot())
+    let telemetry = cluster.telemetry_snapshot().expect("telemetry on by default");
+    (rows, telemetry, cluster.flight_snapshot().expect("flight recorder armed"))
 }
 
 /// Renders the measured table.
@@ -167,8 +156,7 @@ mod tests {
     #[test]
     fn reproduces_table1_verdicts_and_triggers() {
         use tracer::Counter;
-        let (rows, telemetry) = run_with_telemetry();
-        let t = telemetry.expect("telemetry collected by default");
+        let (rows, t, _) = run();
         assert!(!t.is_empty(), "13 paired runs must record activity");
         assert_eq!(t.counter(Counter::SamplesRun), 0, "pairs are not corpus samples");
         assert!(t.counter(Counter::ApiCalls) > 0);
@@ -189,8 +177,7 @@ mod tests {
 
     #[test]
     fn flight_attribution_covers_the_deception_triggers() {
-        let (rows, _, flight) = run_full(FlightConfig::enabled());
-        let snap = flight.expect("flight enabled");
+        let (rows, _, snap) = run();
         assert_eq!(snap.attributions.len(), rows.len(), "one chain per Joe sample");
         for a in &snap.attributions {
             for step in &a.chain {
@@ -210,7 +197,7 @@ mod tests {
 
     #[test]
     fn baseline_runs_show_malicious_activity() {
-        let rows = run();
+        let (rows, ..) = run();
         for r in rows.iter().filter(|r| r.md5 != "564ac87") {
             assert!(
                 !r.measured_without.is_empty(),

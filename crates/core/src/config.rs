@@ -137,11 +137,6 @@ impl Config {
         }
     }
 
-    /// Deceptive wear-and-tear values of Table III.
-    pub fn weartear_fakes() -> WearTearFakes {
-        WearTearFakes::default()
-    }
-
     /// Whether the named deception rule is registered under this
     /// configuration. Rules default to enabled; [`Config::rule_overrides`]
     /// can switch individual rules off (or explicitly back on).

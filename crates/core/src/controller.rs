@@ -10,9 +10,7 @@
 use std::sync::{Arc, RwLock};
 
 use hooklib::{DllImage, Injector};
-use tracer::{
-    FlightConfig, FlightRecorder, FlightSnapshot, Telemetry, TelemetrySnapshot, Trace, Verdict,
-};
+use tracer::{Telemetry, TelemetrySnapshot, Trace};
 use winsim::{Api, Machine, Pid, SimError};
 
 use crate::config::Config;
@@ -28,7 +26,9 @@ pub const DLL_NAME: &str = "scarecrow.dll";
 /// The controller's process image name (becomes the sample's parent).
 pub const CONTROLLER_IMAGE: &str = "scarecrow.exe";
 
-/// Result of one protected run.
+/// Result of one protected run. Its spans and attribution chain, when
+/// wanted, go to the flight recorder armed on the machine by the machine's
+/// owner (`Machine::set_flight`), never into this result.
 #[derive(Debug, Clone)]
 pub struct ProtectedRun {
     /// Pid the sample ran as.
@@ -37,10 +37,6 @@ pub struct ProtectedRun {
     pub triggers: Vec<Trigger>,
     /// The kernel trace of the run.
     pub trace: Trace,
-    /// Flight-recorder snapshot, when the engine was built with
-    /// [`ScarecrowBuilder::flight`] and no external recorder (e.g. a
-    /// harness-owned one) was already attached to the machine.
-    pub flight: Option<FlightSnapshot>,
 }
 
 impl ProtectedRun {
@@ -78,7 +74,6 @@ pub struct Scarecrow {
     /// The engine's telemetry recorder, attached to every machine it
     /// protects that carries none.
     telemetry: Option<Arc<Telemetry>>,
-    flight: FlightConfig,
     /// The injector for the current configuration, built with the engine
     /// and rebuilt by [`Scarecrow::update_config`]. It lives here, not in
     /// `EngineState`: its hooks hold the state, so storing it there would
@@ -110,7 +105,6 @@ pub struct ScarecrowBuilder {
     db: Option<Arc<ResourceDb>>,
     crawl: bool,
     telemetry: bool,
-    flight: FlightConfig,
 }
 
 impl ScarecrowBuilder {
@@ -131,15 +125,6 @@ impl ScarecrowBuilder {
     /// Enables or disables telemetry collection (enabled by default).
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
-        self
-    }
-
-    /// Configures the flight recorder (disabled by default). When enabled,
-    /// [`Scarecrow::run_protected`] attaches a recorder to machines that do
-    /// not already carry one and returns its snapshot in
-    /// [`ProtectedRun::flight`].
-    pub fn flight(mut self, flight: FlightConfig) -> Self {
-        self.flight = flight;
         self
     }
 
@@ -165,7 +150,7 @@ impl ScarecrowBuilder {
             Arc::new(Telemetry::new(Api::telemetry_slot_names(), profiles))
         });
         let injector = RwLock::new(Arc::new(build_injector(&state)));
-        Scarecrow { state, telemetry, flight: self.flight, injector }
+        Scarecrow { state, telemetry, injector }
     }
 }
 
@@ -192,13 +177,7 @@ impl Scarecrow {
     /// Starts building an engine over a configuration. Defaults: the
     /// curated builtin database, no crawl, telemetry enabled.
     pub fn builder(config: Config) -> ScarecrowBuilder {
-        ScarecrowBuilder {
-            config,
-            db: None,
-            crawl: false,
-            telemetry: true,
-            flight: FlightConfig::default(),
-        }
+        ScarecrowBuilder { config, db: None, crawl: false, telemetry: true }
     }
 
     /// Builds the full engine: curated resources plus the public-sandbox
@@ -223,18 +202,13 @@ impl Scarecrow {
     /// A worker engine for a parallel sweep: same configuration, the
     /// *same shared* database `Arc`, its own configuration and rule locks,
     /// and its own telemetry recorder (so worker snapshots merge without
-    /// contention).
+    /// contention). The engine carries no flight-recorder setting: the
+    /// worker's harness arms its own recorder.
     pub fn worker(&self) -> Scarecrow {
         Scarecrow::builder(self.config())
             .db(Arc::clone(&self.state.db))
             .telemetry(self.telemetry().is_some())
-            .flight(self.flight.clone())
             .build()
-    }
-
-    /// The flight-recorder configuration the engine was built with.
-    pub fn flight_config(&self) -> &FlightConfig {
-        &self.flight
     }
 
     /// The engine's telemetry recorder, when collection is enabled.
@@ -267,7 +241,7 @@ impl Scarecrow {
 
     /// The rule set derived from the current configuration — what
     /// `scarecrowctl rules` lists and what [`Scarecrow::hooked_apis`] and
-    /// [`Scarecrow::dll_image`] are driven by.
+    /// the injected `scarecrow.dll` are driven by.
     pub fn rule_set(&self) -> Arc<RuleSet> {
         self.state.rule_set()
     }
@@ -284,11 +258,6 @@ impl Scarecrow {
     /// [`Config::rule_overrides`].
     pub fn hooked_apis(&self) -> Vec<Api> {
         self.state.rule_set().hooked_apis().to_vec()
-    }
-
-    /// Builds a fresh `scarecrow.dll` image sharing this engine's state.
-    pub fn dll_image(&self) -> DllImage {
-        dll_image(&self.state)
     }
 
     /// Builds a fresh injector for the current configuration
@@ -326,7 +295,8 @@ impl Scarecrow {
     /// Runs one sample under full protection: clear the machine's deception
     /// record, start a controller process, launch the sample as its child
     /// with `scarecrow.dll` injected, run to completion, and take the trace
-    /// and the record's triggers.
+    /// and the record's triggers. A flight recorder already armed on the
+    /// machine observes the run; the engine never arms one itself.
     ///
     /// # Errors
     ///
@@ -342,34 +312,13 @@ impl Scarecrow {
         machine.take_deception();
         machine.take_trace();
         self.attach_telemetry(machine);
-        // A harness-owned recorder (already attached) takes precedence: the
-        // harness brackets samples itself with real corpus indices and
-        // verdicts, and takes the recorder back after the run.
-        let standalone_flight = self.flight.enabled && !machine.flight_active();
-        if standalone_flight {
-            machine.set_flight(Some(FlightRecorder::new(self.flight.clone())));
-            let now = machine.system().clock.now_ms();
-            if let Some(f) = machine.flight_mut() {
-                f.begin_sample(image, 0, now);
-            }
-        }
         let controller = machine.add_system_process(CONTROLLER_IMAGE);
         machine.set_trace_root(image);
         let pid = self.current_injector().launch_injected(machine, image, controller)?;
         machine.run();
-        let flight = if standalone_flight {
-            // No baseline run here, so deactivation cannot be judged.
-            let now = machine.system().clock.now_ms();
-            machine.flight_mut().map(|f| {
-                f.end_sample(now, &Verdict::Indeterminate);
-                f.snapshot()
-            })
-        } else {
-            None
-        };
         let decisions = machine.take_deception().into_decisions();
         let triggers = decisions.into_iter().map(Trigger::from_decision).collect();
-        Ok(ProtectedRun { pid, triggers, trace: machine.take_trace(), flight })
+        Ok(ProtectedRun { pid, triggers, trace: machine.take_trace() })
     }
 }
 
@@ -457,32 +406,6 @@ mod tests {
         assert!(run.trace.self_spawn_count() > 10, "everlasting loop under deception");
         assert!(!m.system().fs.exists(r"C:\payload.bin"));
         assert!(!run.alarms().is_empty(), "controller raised the loop alarm");
-    }
-
-    #[test]
-    fn flight_enabled_run_yields_attribution_and_spans() {
-        let engine =
-            Scarecrow::builder(Config::default()).flight(tracer::FlightConfig::enabled()).build();
-        let mut m = Machine::new(System::new());
-        m.register_program(StdArc::new(Evader));
-        let run = engine.run_protected(&mut m, "evader.exe").unwrap();
-        let snap = run.flight.expect("builder-enabled flight must attach a recorder");
-        let attr = snap.attribution_for("evader.exe").expect("attribution chain recorded");
-        assert!(attr.chain.iter().any(|s| s.api == "IsDebuggerPresent"
-            && s.handler == "Debugger"
-            && s.answer == "TRUE"));
-        assert!(snap.spans.iter().any(|s| s.kind == tracer::SpanKind::Handler));
-        assert!(snap.spans.iter().any(|s| s.kind == tracer::SpanKind::ApiDispatch));
-    }
-
-    #[test]
-    fn flight_disabled_run_attaches_nothing() {
-        let engine = Scarecrow::with_builtin_db(Config::default());
-        let mut m = Machine::new(System::new());
-        m.register_program(StdArc::new(Evader));
-        let run = engine.run_protected(&mut m, "evader.exe").unwrap();
-        assert!(run.flight.is_none());
-        assert!(!m.flight_active());
     }
 
     #[test]

@@ -73,12 +73,11 @@ pub struct Cluster {
     /// Lazily captured preset snapshot (under [`ResetStrategy::Snapshot`]);
     /// shared with parallel workers so a sweep builds the preset once.
     snapshot: OnceLock<Arc<MachineSnapshot>>,
-    /// Flight-recorder gate; parallel workers get their own recorder each.
-    flight_cfg: FlightConfig,
-    /// The cluster's recorder, handed to the machine for the duration of
-    /// each protected run and taken back afterwards. Locked only at run
-    /// boundaries — the dispatch hot path reaches the recorder through the
-    /// machine's own `&mut` field, never through this mutex.
+    /// The cluster's recorder, when armed: handed to the machine for the
+    /// duration of each recorded protected run and taken back afterwards.
+    /// Parallel workers arm their own when this slot holds one. Locked only
+    /// at run boundaries — the dispatch hot path reaches the recorder
+    /// through the machine's own `&mut` field, never through this mutex.
     flight: Mutex<Option<FlightRecorder>>,
 }
 
@@ -89,19 +88,16 @@ impl std::fmt::Debug for Cluster {
 }
 
 impl Cluster {
-    /// Creates a cluster over a machine preset and a deception engine.
+    /// Creates a cluster over a machine preset and a deception engine,
+    /// with the flight recorder unarmed (see [`Cluster::with_flight`]).
     pub fn new(factory: MachineFactory, engine: Scarecrow) -> Self {
-        let flight_cfg = engine.flight_config().clone();
-        let flight =
-            Mutex::new(flight_cfg.enabled.then(|| FlightRecorder::new(flight_cfg.clone())));
         Cluster {
             factory,
             engine,
             limits: RunLimits::default(),
             reset: ResetStrategy::default(),
             snapshot: OnceLock::new(),
-            flight_cfg,
-            flight,
+            flight: Mutex::new(None),
         }
     }
 
@@ -111,11 +107,11 @@ impl Cluster {
         self
     }
 
-    /// Enables (or reconfigures) the flight recorder for this cluster,
-    /// independently of the engine's own gate.
-    pub fn with_flight(mut self, cfg: FlightConfig) -> Self {
-        self.flight = Mutex::new(cfg.enabled.then(|| FlightRecorder::new(cfg.clone())));
-        self.flight_cfg = cfg;
+    /// Arms (or disarms) the cluster's flight recorder — the one way a
+    /// harness run is recorded. Armed, every [`Cluster::run_pair`] and
+    /// corpus sweep brackets its protected run as one sample.
+    pub fn with_flight(self, cfg: FlightConfig) -> Self {
+        *self.recorder() = cfg.enabled.then(|| FlightRecorder::new(cfg));
         self
     }
 
@@ -198,11 +194,31 @@ impl Cluster {
         (m, trace)
     }
 
-    /// Runs one program under Scarecrow on a fresh machine.
+    /// Runs one program under Scarecrow on a fresh machine. The cluster's
+    /// flight recorder stays off this run: only a paired run has the
+    /// verdict its sample span closes with.
     pub fn run_protected(&self, program: Arc<dyn Program>) -> (Machine, ProtectedRun) {
+        self.protected_run(program, None)
+    }
+
+    /// The one protected-run body: a fresh machine, the engine's protected
+    /// run, and — for a recorded run on an armed cluster — the recorder
+    /// riding on the machine with its `sample` span opened as `(name,
+    /// index)`. The caller closes that span and takes the recorder back.
+    fn protected_run(
+        &self,
+        program: Arc<dyn Program>,
+        sample: Option<(&str, u64)>,
+    ) -> (Machine, ProtectedRun) {
         let image = program.image_name().to_owned();
         let mut m = self.fresh_machine();
         m.register_program(program);
+        if let Some((name, index)) = sample {
+            if let Some(mut f) = self.recorder().take() {
+                f.begin_sample(name, index, m.system().clock.now_ms());
+                m.set_flight(Some(f));
+            }
+        }
         let started = Instant::now();
         let run = self.engine.run_protected(&mut m, &image).expect("registered image");
         self.record_stage(Stage::ProtectedRun, started);
@@ -210,14 +226,12 @@ impl Cluster {
     }
 
     /// The paired experiment of Section IV-C: baseline and protected runs
-    /// on freshly reset machines, judged by trace diff.
+    /// on freshly reset machines, judged by trace diff. On an armed
+    /// cluster the protected run is recorded as a sample keyed by the
+    /// program's image name ([`Cluster::run_pair_recorded`] at index 0).
     pub fn run_pair(&self, program: Arc<dyn Program>) -> RunPair {
-        let (_, baseline) = self.run_baseline(Arc::clone(&program));
-        let (_, protected) = self.run_protected(program);
-        let started = Instant::now();
-        let verdict = Verdict::decide(&baseline, &protected.trace);
-        self.record_stage(Stage::Verdict, started);
-        RunPair { baseline, protected, verdict }
+        let name = program.image_name().to_owned();
+        self.run_pair_recorded(&name, 0, program)
     }
 
     /// Runs the whole corpus sequentially. Telemetry and the flight
@@ -237,22 +251,14 @@ impl Cluster {
             .with_flight(self.flight_snapshot())
     }
 
-    /// [`Cluster::run_pair`], with the cluster's flight recorder (when
-    /// enabled) riding on the machine for the protected run only — the
-    /// deception stack is what it instruments — bracketed by a root
-    /// `sample` span keyed on `name` and finalized with the verdict.
+    /// The paired run, with the cluster's flight recorder (when armed)
+    /// riding on the machine for the protected run only — the deception
+    /// stack is what it instruments — bracketed by a root `sample` span
+    /// keyed on `name` at corpus position `index` and finalized with the
+    /// verdict.
     pub fn run_pair_recorded(&self, name: &str, index: u64, program: Arc<dyn Program>) -> RunPair {
         let (_, baseline) = self.run_baseline(Arc::clone(&program));
-        let image = program.image_name().to_owned();
-        let mut m = self.fresh_machine();
-        m.register_program(program);
-        if let Some(mut f) = self.recorder().take() {
-            f.begin_sample(name, index, m.system().clock.now_ms());
-            m.set_flight(Some(f));
-        }
-        let started = Instant::now();
-        let protected = self.engine.run_protected(&mut m, &image).expect("registered image");
-        self.record_stage(Stage::ProtectedRun, started);
+        let (mut m, protected) = self.protected_run(program, Some((name, index)));
         let started = Instant::now();
         let verdict = Verdict::decide(&baseline, &protected.trace);
         self.record_stage(Stage::Verdict, started);
@@ -289,13 +295,14 @@ impl Cluster {
             (0..corpus.len()).map(|_| OnceLock::new()).collect();
         let mut snapshots: Vec<TelemetrySnapshot> = Vec::new();
         let mut flights: Vec<FlightSnapshot> = Vec::new();
+        let armed = self.recorder().is_some();
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for _ in 0..workers {
                 let worker = Cluster::new(Arc::clone(&self.factory), self.engine.worker())
                     .with_limits(self.limits)
                     .with_reset_strategy(self.reset)
-                    .with_flight(self.flight_cfg.clone());
+                    .with_flight(FlightConfig { enabled: armed });
                 if self.reset == ResetStrategy::Snapshot {
                     // capture once on this thread; workers share the Arc
                     let _ = worker.snapshot.set(Arc::clone(self.preset_snapshot()));
@@ -583,6 +590,62 @@ mod tests {
         let report = c.run_corpus(&corpus);
         assert!(report.flight().is_none());
         assert!(c.flight_snapshot().is_none());
+    }
+
+    #[test]
+    fn flight_on_and_off_give_identical_results_traces_and_telemetry() {
+        let corpus: Vec<_> = malgene_corpus(3).into_iter().take(12).collect();
+        let limits = RunLimits { budget_ms: 60_000, max_processes: 60 };
+        let off = cluster().with_limits(limits);
+        let on = cluster().with_limits(limits).with_flight(FlightConfig::enabled());
+        for s in &corpus {
+            let a = off.run_pair(s.sample.clone().into_program());
+            let b = on.run_pair(s.sample.clone().into_program());
+            assert_eq!(a.protected.trace, b.protected.trace, "{}: protected trace differs", s.md5);
+            assert_eq!(a.protected.triggers, b.protected.triggers, "{}", s.md5);
+            assert_eq!(a.verdict, b.verdict, "{}", s.md5);
+        }
+        let (ra, rb) = (off.run_corpus(&corpus), on.run_corpus(&corpus));
+        assert!(ra.flight().is_none());
+        assert_eq!(rb.flight().expect("armed").attributions.len(), corpus.len());
+        assert_eq!(ra.results(), rb.results());
+        let ta = ra.telemetry().expect("telemetry on by default");
+        let tb = rb.telemetry().expect("telemetry on by default");
+        assert_eq!(
+            ta.deterministic.to_json().to_string(),
+            tb.deterministic.to_json().to_string(),
+            "deterministic telemetry must serialize byte-identically with the recorder on or off"
+        );
+    }
+
+    #[test]
+    fn armed_run_pair_records_one_attribution_keyed_by_image_name() {
+        let s = joe_samples().into_iter().find(|s| s.md5 == "f1a1288").unwrap();
+        let program = s.sample.into_program();
+        let image = program.image_name().to_owned();
+        let c = cluster().with_flight(FlightConfig::enabled());
+        let pair = c.run_pair(Arc::clone(&program));
+        assert!(pair.verdict.is_deactivated());
+        let snap = c.flight_snapshot().expect("armed");
+        assert_eq!(snap.attributions.len(), 1);
+        let attr = snap.attribution_for(&image).expect("keyed by the image name");
+        assert_eq!(attr.corpus_index, 0);
+        assert!(attr.verdict.contains("deactivated"));
+        assert!(attr.chain.iter().any(|s| s.api == "IsDebuggerPresent"
+            && s.handler == "Debugger"
+            && s.answer == "TRUE"));
+        assert!(snap.spans.iter().any(|s| s.kind == tracer::SpanKind::Handler));
+        assert!(snap.spans.iter().any(|s| s.kind == tracer::SpanKind::ApiDispatch));
+        // a lone protected run leaves the recorder with the cluster
+        let (m, _) = c.run_protected(Arc::clone(&program));
+        assert!(!m.flight_active());
+        assert_eq!(c.flight_snapshot().expect("armed").attributions.len(), 1);
+        // an unarmed cluster records nothing
+        let unarmed = cluster();
+        let (m, _) = unarmed.run_protected(Arc::clone(&program));
+        assert!(!m.flight_active());
+        unarmed.run_pair(program);
+        assert!(unarmed.flight_snapshot().is_none());
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl DllImage {
         &self.label
     }
 
-    /// Number of APIs this DLL hooks.
-    pub fn hook_count(&self) -> usize {
-        self.hooks.len()
-    }
-
     /// APIs hooked by this image.
     pub fn hooked_apis(&self) -> impl Iterator<Item = Api> + '_ {
         self.hooks.iter().map(|(api, _)| *api)

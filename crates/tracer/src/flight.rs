@@ -1,7 +1,7 @@
 //! The causal flight recorder: per-worker span streams, latency
 //! histograms, and deactivation attribution.
 //!
-//! PR 1's [`Telemetry`](crate::Telemetry) answers *how many* — dispatches,
+//! [`Telemetry`](crate::Telemetry) answers *how many* — dispatches,
 //! hook hits, deception triggers. This module answers *which and why*: for
 //! each sample, the causal chain
 //!
@@ -25,17 +25,17 @@
 //!   so the recorder is a plain struct mutated through `&mut` — no
 //!   atomics, no mutexes, no channel sends. Parallel workers each own a
 //!   recorder; their [`FlightSnapshot`]s merge in corpus order afterwards.
-//! * **Fixed capacity.** Spans land in a ring buffer of
-//!   [`FlightConfig::capacity`] entries; once full, the oldest span is
-//!   overwritten and [`FlightSnapshot::dropped_spans`] counts the loss.
-//!   Attribution steps are stored separately (capped per sample by
-//!   [`FlightConfig::max_chain`]) so ring overwrites never lose the
-//!   deception chain.
-//! * **Sampling.** [`FlightConfig::sample_every`] records one of every N
-//!   `api_dispatch` spans (with all of its children); the dispatch
-//!   counter always advances, so sampling is deterministic for a
-//!   deterministic workload. Histograms and attribution record every
-//!   event regardless of span sampling.
+//! * **Fixed capacity.** Spans land in a ring buffer of 8,192 entries
+//!   per recorder; once full, the oldest span is overwritten and
+//!   [`FlightSnapshot::dropped_spans`] counts the loss. Attribution steps
+//!   are stored separately (at most 32 per sample; further triggers only
+//!   bump [`SampleAttribution::total_steps`]) so ring overwrites never lose
+//!   the deception chain. Both sizes are constants, and every dispatch is
+//!   recorded: there is no sampling.
+//! * **One owner.** Whoever owns the machine arms the recorder: the
+//!   harness (`Cluster::with_flight`) or a direct caller
+//!   (`Machine::set_flight` / `Machine::take_flight`). The deception engine
+//!   never creates one.
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -44,31 +44,24 @@ use crate::hist::LatencyHistogram;
 use crate::json::{Json, ToJson};
 use crate::Verdict;
 
-/// Configuration gate for the flight recorder.
-#[derive(Debug, Clone, PartialEq)]
+/// Ring-buffer capacity in spans, per recorder.
+const CAPACITY: usize = 8192;
+/// Attribution steps kept per sample; further deception triggers only bump
+/// the step count.
+const MAX_CHAIN: usize = 32;
+
+/// The flight recorder's on/off gate.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightConfig {
     /// Whether a recorder is attached at all. Disabled means no recorder
     /// is constructed and the hot path pays one branch.
     pub enabled: bool,
-    /// Ring-buffer capacity in spans (per worker).
-    pub capacity: usize,
-    /// Record one of every N `api_dispatch` spans; `1` records all.
-    pub sample_every: u64,
-    /// Maximum attribution steps kept per sample; further deception
-    /// triggers only bump the step count.
-    pub max_chain: usize,
-}
-
-impl Default for FlightConfig {
-    fn default() -> Self {
-        FlightConfig { enabled: false, capacity: 8192, sample_every: 1, max_chain: 32 }
-    }
 }
 
 impl FlightConfig {
-    /// An enabled recorder with the default capacity and no sampling.
+    /// The gate switched on.
     pub fn enabled() -> Self {
-        FlightConfig { enabled: true, ..FlightConfig::default() }
+        FlightConfig { enabled: true }
     }
 }
 
@@ -196,8 +189,7 @@ pub struct SampleAttribution {
     /// Total deception triggers observed (may exceed `chain.len()` when
     /// the per-sample cap truncated the chain).
     pub total_steps: u64,
-    /// The ordered deception chain, capped at
-    /// [`FlightConfig::max_chain`] steps.
+    /// The ordered deception chain, capped at 32 steps.
     pub chain: Vec<AttributionStep>,
 }
 
@@ -218,15 +210,11 @@ struct OpenSpan {
 /// machine template carrying one stays cloneable; snapshots drop it.)
 #[derive(Clone)]
 pub struct FlightRecorder {
-    cfg: FlightConfig,
     spans: Vec<Span>,
     head: usize,
     total_spans: u64,
     next_id: u64,
     stack: Vec<OpenSpan>,
-    /// Depth of unsampled `api_dispatch` nesting; children are suppressed.
-    suppress: u32,
-    dispatch_seq: u64,
     dispatch_started: Option<Instant>,
     corpus_index: u64,
     sample_name: String,
@@ -239,7 +227,6 @@ pub struct FlightRecorder {
 impl std::fmt::Debug for FlightRecorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FlightRecorder")
-            .field("capacity", &self.cfg.capacity)
             .field("spans", &self.spans.len())
             .field("attributions", &self.attributions.len())
             .finish()
@@ -247,18 +234,15 @@ impl std::fmt::Debug for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates an empty recorder with the given configuration.
-    pub fn new(cfg: FlightConfig) -> Self {
-        let capacity = cfg.capacity.max(1);
+    /// Creates an empty recorder. The gate only decides whether callers
+    /// build one; every recorder has the same fixed capacity.
+    pub fn new(_cfg: FlightConfig) -> Self {
         FlightRecorder {
-            cfg: FlightConfig { capacity, ..cfg },
             spans: Vec::new(),
             head: 0,
             total_spans: 0,
             next_id: 0,
             stack: Vec::new(),
-            suppress: 0,
-            dispatch_seq: 0,
             dispatch_started: None,
             corpus_index: 0,
             sample_name: String::new(),
@@ -269,18 +253,13 @@ impl FlightRecorder {
         }
     }
 
-    /// The configuration the recorder was built with.
-    pub fn config(&self) -> &FlightConfig {
-        &self.cfg
-    }
-
     fn push_span(&mut self, span: Span) {
         self.total_spans += 1;
-        if self.spans.len() < self.cfg.capacity {
+        if self.spans.len() < CAPACITY {
             self.spans.push(span);
         } else {
             self.spans[self.head] = span;
-            self.head = (self.head + 1) % self.cfg.capacity;
+            self.head = (self.head + 1) % CAPACITY;
         }
     }
 
@@ -298,8 +277,8 @@ impl FlightRecorder {
         });
     }
 
-    fn close(&mut self, end_ms: u64) -> Option<u64> {
-        let open = self.stack.pop()?;
+    fn close(&mut self, end_ms: u64) {
+        let Some(open) = self.stack.pop() else { return };
         let wall_ns = u64::try_from(open.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         if open.kind == SpanKind::HookChain {
             self.record_hist(FlightHist::HookChain, wall_ns);
@@ -318,7 +297,6 @@ impl FlightRecorder {
             detail: open.detail,
         };
         self.push_span(span);
-        Some(wall_ns)
     }
 
     /// Marks the start of a sample's run pair (root span).
@@ -337,7 +315,6 @@ impl FlightRecorder {
         while self.stack.len() > 1 {
             self.close(now_ms);
         }
-        self.suppress = 0;
         self.close(now_ms);
         self.attributions.push(SampleAttribution {
             sample: std::mem::take(&mut self.sample_name),
@@ -349,62 +326,35 @@ impl FlightRecorder {
         self.current_total_steps = 0;
     }
 
-    /// Marks entry into `Machine::call_api`. Always advances the dispatch
-    /// counter (so sampling is deterministic) and always starts the
-    /// wall-clock measurement for the dispatch histogram; the span itself
-    /// is recorded for one of every `sample_every` dispatches.
+    /// Marks entry into `Machine::call_api`: opens an `api_dispatch` span
+    /// and starts the wall-clock measurement for the dispatch histogram.
     pub fn begin_dispatch(&mut self, api: &str, pid: u64, now_ms: u64) {
-        let sampled = self.dispatch_seq.is_multiple_of(self.cfg.sample_every.max(1));
-        self.dispatch_seq += 1;
-        if self.suppress == 0 {
-            self.dispatch_started = Some(Instant::now());
-        }
-        if sampled && self.suppress == 0 {
-            self.open(SpanKind::ApiDispatch, api.to_owned(), pid, now_ms, String::new());
-        } else {
-            self.suppress += 1;
-        }
+        self.dispatch_started = Some(Instant::now());
+        self.open(SpanKind::ApiDispatch, api.to_owned(), pid, now_ms, String::new());
     }
 
     /// Marks exit from `Machine::call_api`; feeds the dispatch histogram.
     pub fn end_dispatch(&mut self, now_ms: u64) {
-        if self.suppress > 0 {
-            self.suppress -= 1;
-        } else {
-            self.close(now_ms);
-        }
-        if self.suppress == 0 {
-            if let Some(started) = self.dispatch_started.take() {
-                let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.record_hist(FlightHist::ApiDispatch, ns);
-            }
+        self.close(now_ms);
+        if let Some(started) = self.dispatch_started.take() {
+            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.record_hist(FlightHist::ApiDispatch, ns);
         }
     }
 
-    /// Opens a child span (hook chain / handler layers). Suppressed while
-    /// inside an unsampled dispatch.
+    /// Opens a child span (hook chain / handler layers).
     pub fn begin_child(&mut self, kind: SpanKind, name: &str, pid: u64, now_ms: u64) {
-        if self.suppress > 0 {
-            self.suppress += 1;
-        } else {
-            self.open(kind, name.to_owned(), pid, now_ms, String::new());
-        }
+        self.open(kind, name.to_owned(), pid, now_ms, String::new());
     }
 
-    /// Closes the innermost child span; returns its measured wall-clock
-    /// nanoseconds when it was recorded.
-    pub fn end_child(&mut self, now_ms: u64) -> Option<u64> {
-        if self.suppress > 0 {
-            self.suppress -= 1;
-            None
-        } else {
-            self.close(now_ms)
-        }
+    /// Closes the innermost child span.
+    pub fn end_child(&mut self, now_ms: u64) {
+        self.close(now_ms);
     }
 
-    /// Records one deception decision: always appended to the sample's
-    /// attribution chain (up to the cap); additionally recorded as a
-    /// zero-length `deception_decision` span when not suppressed.
+    /// Records one deception decision: appended to the sample's
+    /// attribution chain (up to the cap) and recorded as a zero-length
+    /// `deception_decision` span.
     #[allow(clippy::too_many_arguments)]
     pub fn record_decision(
         &mut self,
@@ -417,7 +367,7 @@ impl FlightRecorder {
         answer: &str,
     ) {
         self.current_total_steps += 1;
-        if self.current_steps.len() < self.cfg.max_chain {
+        if self.current_steps.len() < MAX_CHAIN {
             self.current_steps.push(AttributionStep {
                 time_ms: now_ms,
                 artifact: artifact.to_owned(),
@@ -427,23 +377,21 @@ impl FlightRecorder {
                 answer: answer.to_owned(),
             });
         }
-        if self.suppress == 0 {
-            let id = self.next_id;
-            self.next_id += 1;
-            let span = Span {
-                id,
-                parent: self.stack.last().map(|s| s.id),
-                kind: SpanKind::DeceptionDecision,
-                name: format!("{handler}:{api}"),
-                pid,
-                start_ms: now_ms,
-                end_ms: now_ms,
-                wall_ns: 0,
-                corpus_index: self.corpus_index,
-                detail: format!("{artifact} -> {answer}"),
-            };
-            self.push_span(span);
-        }
+        let id = self.next_id;
+        self.next_id += 1;
+        let span = Span {
+            id,
+            parent: self.stack.last().map(|s| s.id),
+            kind: SpanKind::DeceptionDecision,
+            name: format!("{handler}:{api}"),
+            pid,
+            start_ms: now_ms,
+            end_ms: now_ms,
+            wall_ns: 0,
+            corpus_index: self.corpus_index,
+            detail: format!("{artifact} -> {answer}"),
+        };
+        self.push_span(span);
     }
 
     /// Records a raw wall-clock observation into one of the recorder's
@@ -456,7 +404,7 @@ impl FlightRecorder {
     /// Spans come out in recording order (oldest surviving first).
     pub fn snapshot(&self) -> FlightSnapshot {
         let mut spans = Vec::with_capacity(self.spans.len());
-        if self.spans.len() == self.cfg.capacity {
+        if self.spans.len() == CAPACITY {
             spans.extend_from_slice(&self.spans[self.head..]);
             spans.extend_from_slice(&self.spans[..self.head]);
         } else {
@@ -475,16 +423,14 @@ impl FlightRecorder {
         }
     }
 
-    /// Clears all recorded data, keeping the configuration (between
-    /// experiments on a reused recorder).
+    /// Clears all recorded data (between experiments on a reused
+    /// recorder).
     pub fn reset(&mut self) {
         self.spans.clear();
         self.head = 0;
         self.total_spans = 0;
         self.next_id = 0;
         self.stack.clear();
-        self.suppress = 0;
-        self.dispatch_seq = 0;
         self.dispatch_started = None;
         self.corpus_index = 0;
         self.sample_name.clear();
@@ -683,65 +629,47 @@ mod tests {
 
     #[test]
     fn attribution_survives_and_caps() {
-        let cfg = FlightConfig { enabled: true, max_chain: 2, ..FlightConfig::default() };
-        let mut rec = FlightRecorder::new(cfg);
+        let mut rec = FlightRecorder::new(FlightConfig::enabled());
         rec.begin_sample("feed", 0, 0);
-        for i in 0..5 {
+        for i in 0..MAX_CHAIN as u64 + 3 {
             rec.record_decision(i, 1, "RegOpenKeyExA", "registry", "HKLM\\VBOX", "vm", "fake");
         }
-        rec.end_sample(9, &verdict());
+        rec.end_sample(99, &verdict());
         let snap = rec.snapshot();
         let a = snap.attribution_for("feed").unwrap();
-        assert_eq!(a.total_steps, 5);
-        assert_eq!(a.chain.len(), 2);
+        assert_eq!(a.total_steps, MAX_CHAIN as u64 + 3);
+        assert_eq!(a.chain.len(), MAX_CHAIN);
         assert_eq!(a.chain[0].artifact, "HKLM\\VBOX");
         assert_eq!(a.chain[0].api, "RegOpenKeyExA");
         assert_eq!(a.chain[0].handler, "vm");
+        assert_eq!(a.chain[MAX_CHAIN - 1].time_ms, MAX_CHAIN as u64 - 1, "the first steps kept");
         assert!(a.verdict.contains("deactivated"));
     }
 
     #[test]
-    fn sampling_skips_spans_but_not_attribution() {
-        let cfg = FlightConfig { enabled: true, sample_every: 2, ..FlightConfig::default() };
-        let mut rec = FlightRecorder::new(cfg);
-        rec.begin_sample("s", 0, 0);
-        for i in 0..4 {
-            rec.begin_dispatch("GetTickCount", 1, i);
-            rec.begin_child(SpanKind::HookChain, "dll", 1, i);
-            rec.record_decision(i, 1, "GetTickCount", "weartear", "uptime", "weartear", "42");
-            rec.end_child(i);
-            rec.end_dispatch(i);
-        }
-        rec.end_sample(9, &verdict());
-        let snap = rec.snapshot();
-        let dispatches = snap.spans.iter().filter(|s| s.kind == SpanKind::ApiDispatch).count();
-        assert_eq!(dispatches, 2, "one of every two dispatches is recorded");
-        let chains = snap.spans.iter().filter(|s| s.kind == SpanKind::HookChain).count();
-        assert_eq!(chains, 2, "children follow their dispatch's fate");
-        assert_eq!(snap.attributions[0].chain.len(), 4, "attribution records everything");
-        let hist = snap.hists.get("api_dispatch_ns").unwrap();
-        assert_eq!(hist.count(), 4, "histograms record everything");
-    }
-
-    #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let cfg = FlightConfig { enabled: true, capacity: 3, ..FlightConfig::default() };
-        let mut rec = FlightRecorder::new(cfg);
+        let mut rec = FlightRecorder::new(FlightConfig::enabled());
         rec.begin_sample("s", 0, 0);
-        for i in 0..5 {
+        let dispatches = CAPACITY as u64 + 2;
+        for i in 0..dispatches {
             rec.begin_dispatch("CloseHandle", 1, i);
             rec.end_dispatch(i + 1);
         }
-        rec.end_sample(9, &verdict());
+        rec.end_sample(dispatches + 1, &verdict());
         let snap = rec.snapshot();
-        assert_eq!(snap.spans.len(), 3);
-        assert_eq!(snap.dropped_spans, 3, "5 dispatches + 1 sample span - 3 kept");
-        // the last three pushes survive: the two newest dispatches, then
-        // the sample root (which closes last)
-        let kinds: Vec<SpanKind> = snap.spans.iter().map(|s| s.kind).collect();
-        assert_eq!(kinds, vec![SpanKind::ApiDispatch, SpanKind::ApiDispatch, SpanKind::Sample]);
+        assert_eq!(snap.spans.len(), CAPACITY);
+        assert_eq!(
+            snap.dropped_spans, 3,
+            "CAPACITY + 2 dispatches + 1 sample span - CAPACITY kept"
+        );
+        // the newest CAPACITY pushes survive, oldest first: the dispatches
+        // from id 4 on (ids 1-3 were overwritten), then the sample root
+        // (id 0, which closes last)
         assert_eq!(snap.spans[0].id, 4);
-        assert_eq!(snap.spans[1].id, 5);
+        assert_eq!(snap.spans[CAPACITY - 2].id, dispatches);
+        assert!(snap.spans[..CAPACITY - 1].iter().all(|s| s.kind == SpanKind::ApiDispatch));
+        assert_eq!(snap.spans[CAPACITY - 1].kind, SpanKind::Sample);
+        assert_eq!(snap.spans[CAPACITY - 1].id, 0);
     }
 
     #[test]
@@ -772,13 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything_but_config() {
-        let cfg = FlightConfig { enabled: true, sample_every: 3, ..FlightConfig::default() };
-        let mut rec = FlightRecorder::new(cfg.clone());
+    fn reset_clears_everything() {
+        let mut rec = FlightRecorder::new(FlightConfig::enabled());
         run_one_sample(&mut rec);
         rec.reset();
         assert!(rec.snapshot().is_empty());
-        assert_eq!(rec.config(), &cfg);
     }
 
     #[test]

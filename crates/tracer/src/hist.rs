@@ -103,12 +103,6 @@ impl LatencyHistogram {
         self.buckets.iter().all(|b| *b == 0)
     }
 
-    /// The raw bucket counts, index `i` as described on
-    /// [`HISTOGRAM_BUCKETS`].
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
     /// Exact mean of the recorded values, `0` when empty.
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count()).unwrap_or(0)

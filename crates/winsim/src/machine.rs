@@ -191,9 +191,10 @@ impl Machine {
         self.telemetry.as_ref()
     }
 
-    /// Attaches a flight recorder. Every subsequent API dispatch opens an
-    /// `api_dispatch` span (subject to the recorder's sampling) and feeds
-    /// the dispatch-cost histogram.
+    /// Attaches a flight recorder: with [`Machine::take_flight`], the one
+    /// way to arm it, used by whoever owns the machine (the harness, or a
+    /// direct caller). Every subsequent API dispatch opens an
+    /// `api_dispatch` span and feeds the dispatch-cost histogram.
     pub fn set_flight(&mut self, flight: Option<FlightRecorder>) {
         self.flight = flight;
     }
@@ -202,12 +203,6 @@ impl Machine {
     /// between runs to merge worker streams).
     pub fn take_flight(&mut self) -> Option<FlightRecorder> {
         self.flight.take()
-    }
-
-    /// Mutable access to the attached flight recorder, if any. Hook and
-    /// engine layers emit their spans through this.
-    pub fn flight_mut(&mut self) -> Option<&mut FlightRecorder> {
-        self.flight.as_mut()
     }
 
     /// Whether a flight recorder is attached.
@@ -1435,8 +1430,9 @@ mod tests {
         let pid = m.add_system_process("probe.exe");
         let telemetry = Arc::new(Telemetry::new(Api::telemetry_slot_names(), ["VMware"]));
         m.set_telemetry(Some(Arc::clone(&telemetry)));
-        m.set_flight(Some(FlightRecorder::new(FlightConfig::enabled())));
-        m.flight_mut().unwrap().begin_sample("probe.exe", 0, 0);
+        let mut flight = FlightRecorder::new(FlightConfig::enabled());
+        flight.begin_sample("probe.exe", 0, 0);
+        m.set_flight(Some(flight));
         m.record_decision(pid, Api::RegOpenKeyEx, "registry", r"HKLM\VMW", "VMware", "ok");
         m.deception_mut().committed_profile = Some("VMware");
         m.deception_mut().spawn_counts.insert("probe.exe".into(), 3);

@@ -36,15 +36,6 @@ impl RegValue {
             _ => None,
         }
     }
-
-    /// The value as an integer (`REG_DWORD` or `REG_QWORD`).
-    pub fn as_int(&self) -> Option<u64> {
-        match self {
-            RegValue::Dword(v) => Some(u64::from(*v)),
-            RegValue::Qword(v) => Some(*v),
-            _ => None,
-        }
-    }
 }
 
 /// One registry key: named values plus implicit children via path prefixes.

@@ -8,7 +8,6 @@
 
 use crate::api::Api;
 use crate::args;
-use crate::error::NtStatus;
 use crate::process::Pid;
 use crate::program::ProcessCtx;
 use crate::values::Value;
@@ -140,19 +139,9 @@ impl ProcessCtx<'_> {
         self.call(Api::CreateProcess, args![image, true]).as_u64().unwrap_or(0) as Pid
     }
 
-    /// `ResumeThread` on a suspended child's main thread.
-    pub fn resume_process(&mut self, pid: Pid) -> bool {
-        self.call(Api::ResumeThread, args![u64::from(pid)]).truthy()
-    }
-
     /// `OpenProcess` by image name; returns pid (0 when not running).
     pub fn open_process(&mut self, image: &str) -> Pid {
         self.call(Api::OpenProcess, args![image]).as_u64().unwrap_or(0) as Pid
-    }
-
-    /// `TerminateProcess` by pid.
-    pub fn terminate_process(&mut self, pid: Pid) -> bool {
-        self.call(Api::TerminateProcess, args![u64::from(pid)]).truthy()
     }
 
     /// `ExitProcess`.
@@ -224,11 +213,6 @@ impl ProcessCtx<'_> {
     /// `GetModuleHandle` != NULL.
     pub fn module_loaded(&mut self, name: &str) -> bool {
         self.call(Api::GetModuleHandle, args![name]).as_u64().unwrap_or(0) != 0
-    }
-
-    /// `LoadLibrary` success.
-    pub fn load_library(&mut self, name: &str) -> bool {
-        self.call(Api::LoadLibrary, args![name]).as_u64().unwrap_or(0) != 0
     }
 
     /// `GetModuleFileName(NULL)`: own executable path.
@@ -303,11 +287,6 @@ impl ProcessCtx<'_> {
         self.call(Api::FindWindow, args![class, ""]).truthy()
     }
 
-    /// `FindWindow(NULL, title)`.
-    pub fn find_window_title(&mut self, title: &str) -> bool {
-        self.call(Api::FindWindow, args!["", title]).truthy()
-    }
-
     // ---------- network ----------
 
     /// `DnsQuery`; returns the resolved address string.
@@ -349,17 +328,6 @@ impl ProcessCtx<'_> {
     /// cycles (the Section II-B(g) probe).
     pub fn exception_dispatch_cycles(&mut self) -> u64 {
         self.call(Api::RaiseException, args![]).as_u64().unwrap_or(0)
-    }
-
-    /// `CloseHandle` on the canonical invalid handle value — raises inside
-    /// a debugger; returns whether the anomaly was observed.
-    pub fn close_invalid_handle_raises(&mut self) -> bool {
-        !self.call(Api::CloseHandle, args![0xDEAD_BEEFu64]).truthy()
-    }
-
-    /// `NtCreateFile(FILE_OPEN)` existence probe via the native API.
-    pub fn nt_file_openable(&mut self, path: &str) -> bool {
-        self.call(Api::NtCreateFile, args![path, "open"]).as_status() == NtStatus::Success
     }
 }
 

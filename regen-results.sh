@@ -7,16 +7,21 @@
 #                                   # -D warnings, the whole
 #                                   # workspace test suite, a perfbench build
 #                                   # (it calls the crates' public API), the
-#                                   # eight experiment binaries' stdout and the
-#                                   # seven JSON artifacts byte-equal to results/,
-#                                   # and the telemetry / flight / rules
-#                                   # sidecars present with their schema keys
+#                                   # eight experiment binaries' stdout, the
+#                                   # seven JSON artifacts and the two golden
+#                                   # attribution sidecars byte-equal to
+#                                   # results/, and the telemetry / flight /
+#                                   # rules sidecars present with their schema
+#                                   # keys
 set -e
 cd "$(dirname "$0")"
 
 experiments="table1 table2 table3 figure4 case_studies benign_impact figure5_space ablation"
 # the experiments that also write a committed <name>.json
 json_artifacts="table1 table2 table3 figure4 case_studies benign_impact figure5_space"
+# attribution sidecars committed as goldens: Table I's chains, and
+# `scarecrowctl explain case:kasidet` (both on the virtual clock)
+golden_sidecars="table1_attribution scarecrowctl_attribution"
 
 require_sidecar() {
     if [ ! -s "$1" ]; then
@@ -64,10 +69,6 @@ if [ "${1:-}" = "--check" ]; then
     ctl() {
         SCARECROW_RESULTS_DIR="$check_dir" ./target/release/scarecrowctl "$@" >/dev/null
     }
-    ctl explain case:kasidet
-    ctl trace case:kasidet
-    ctl run case:kasidet
-    ctl rules --json
     # the committed Figure 4 md5s must name samples of the seeded corpus
     first_md5="$(grep -m1 '"md5"' results/figure4.json | cut -d'"' -f4)"
     if ! ctl explain "$first_md5"; then
@@ -75,6 +76,11 @@ if [ "${1:-}" = "--check" ]; then
         exit 1
     fi
     echo "ok: scarecrowctl explain $first_md5"
+    # last explain run, so its attribution sidecar is the golden one
+    ctl explain case:kasidet
+    ctl trace case:kasidet
+    ctl run case:kasidet
+    ctl rules --json
     for f in table1 table1_telemetry figure4 figure4_telemetry \
              table1_trace table1_attribution figure4_trace figure4_attribution \
              scarecrowctl_trace scarecrowctl_attribution scarecrowctl_run_telemetry; do
@@ -106,7 +112,7 @@ if [ "${1:-}" = "--check" ]; then
     for b in $experiments; do
         require_same "$check_dir/$b.stdout.txt" "results/$b.txt"
     done
-    for b in $json_artifacts; do
+    for b in $json_artifacts $golden_sidecars; do
         require_same "$check_dir/$b.json" "results/$b.json"
     done
     echo "check passed"
@@ -121,6 +127,7 @@ for b in $experiments; do
     echo "== $b =="
     SCARECROW_RESULTS_DIR="$out_dir" ./target/release/$b | tee "results/$b.txt"
 done
-for b in $json_artifacts; do
+SCARECROW_RESULTS_DIR="$out_dir" ./target/release/scarecrowctl explain case:kasidet >/dev/null
+for b in $json_artifacts $golden_sidecars; do
     cp "$out_dir/$b.json" "results/$b.json"
 done
