@@ -8,6 +8,7 @@
 //! `scarecrow-bench`.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use tracer::json::{Json, JsonError, ToJson};
 
@@ -229,14 +230,18 @@ impl std::error::Error for ConfigError {
 }
 
 /// The faked wear-and-tear resource values of Table III.
+///
+/// The fabricated names are `Arc<str>`s built once with the engine, so the
+/// `DnsGetCacheDataTable` and `EvtNext` fakes hand out refcounted names
+/// rather than copying one string per answer element.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WearTearFakes {
     /// `dnscacheEntries`: "Recent 4 entries".
-    pub dns_cache_entries: Vec<String>,
+    pub dns_cache_entries: Vec<Arc<str>>,
     /// `sysevt`: "Recent 8K system events".
     pub sys_events: usize,
     /// `syssrc`: sources present in those fabricated events.
-    pub event_sources: Vec<String>,
+    pub event_sources: Vec<Arc<str>>,
     /// `deviceClsCount`: "29 subkeys".
     pub device_classes: u64,
     /// `autoRunCount`: "3 value entries".
@@ -267,25 +272,25 @@ impl Default for WearTearFakes {
     fn default() -> Self {
         WearTearFakes {
             dns_cache_entries: vec![
-                "ctldl.windowsupdate.com".to_owned(),
-                "www.msftncsi.com".to_owned(),
-                "time.windows.com".to_owned(),
-                "teredo.ipv6.microsoft.com".to_owned(),
+                Arc::from("ctldl.windowsupdate.com"),
+                Arc::from("www.msftncsi.com"),
+                Arc::from("time.windows.com"),
+                Arc::from("teredo.ipv6.microsoft.com"),
             ],
             sys_events: 8_000,
             event_sources: vec![
-                "Service Control Manager".to_owned(),
-                "EventLog".to_owned(),
-                "Kernel-General".to_owned(),
-                "Kernel-Power".to_owned(),
-                "Kernel-Boot".to_owned(),
-                "Winlogon".to_owned(),
-                "Dhcp".to_owned(),
-                "Tcpip".to_owned(),
-                "Ntfs".to_owned(),
-                "UserPnp".to_owned(),
-                "Time-Service".to_owned(),
-                "WMI".to_owned(),
+                Arc::from("Service Control Manager"),
+                Arc::from("EventLog"),
+                Arc::from("Kernel-General"),
+                Arc::from("Kernel-Power"),
+                Arc::from("Kernel-Boot"),
+                Arc::from("Winlogon"),
+                Arc::from("Dhcp"),
+                Arc::from("Tcpip"),
+                Arc::from("Ntfs"),
+                Arc::from("UserPnp"),
+                Arc::from("Time-Service"),
+                Arc::from("WMI"),
             ],
             device_classes: 29,
             autoruns: 3,

@@ -202,6 +202,7 @@ mod tests {
     use super::*;
     use crate::ipc::Trigger;
     use crate::resources::Category;
+    use std::collections::HashSet;
     use std::sync::Arc;
     use winsim::{args, Api, Machine, NtStatus, Pid, System};
 
@@ -460,5 +461,53 @@ mod tests {
         );
         assert_eq!(m.call_api(pid, Api::RegOpenKeyEx, args![vbox]).as_status(), NtStatus::Success);
         assert_eq!(m.deception().committed_profile, None);
+    }
+
+    /// The strings of a list answer, each as the shared allocation it holds.
+    fn shared_strings(v: &Value) -> Vec<&Arc<str>> {
+        v.as_list()
+            .unwrap()
+            .iter()
+            .map(|e| match e {
+                Value::Str(s) => s,
+                other => panic!("list element {other:?} is not a string"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fabricated_events_share_the_fake_sources() {
+        let state = engine();
+        let (mut m, pid) = hooked_machine(&state);
+        let v = m.call_api(pid, Api::EvtNext, args![1_000_000u64]);
+        let events = shared_strings(&v);
+        assert_eq!(events.len(), 8_000);
+        let sources = &state.wear.event_sources;
+        let allocations: HashSet<*const u8> =
+            events.iter().map(|s| Arc::as_ptr(s).cast::<u8>()).collect();
+        assert_eq!(allocations.len(), sources.len());
+        assert!(events.iter().all(|e| sources.iter().any(|s| Arc::ptr_eq(e, s))));
+    }
+
+    #[test]
+    fn fabricated_dns_cache_shares_the_fake_entries() {
+        let state = engine();
+        let (mut m, pid) = hooked_machine(&state);
+        let v = m.call_api(pid, Api::DnsGetCacheDataTable, args![]);
+        let entries = shared_strings(&v);
+        assert_eq!(entries.len(), state.wear.dns_cache_entries.len());
+        for (answer, fake) in entries.iter().zip(&state.wear.dns_cache_entries) {
+            assert!(Arc::ptr_eq(answer, fake));
+        }
+    }
+
+    #[test]
+    fn no_fake_sources_fabricates_no_events() {
+        let mut state = EngineState::new(Config::default(), Arc::new(ResourceDb::builtin()));
+        state.wear.event_sources.clear();
+        let state = Arc::new(state);
+        let (mut m, pid) = hooked_machine(&state);
+        let v = m.call_api(pid, Api::EvtNext, args![1_000_000u64]);
+        assert_eq!(v, Value::List(Vec::new()));
     }
 }

@@ -90,7 +90,7 @@ impl DeceptionRule for FilesystemRule {
                 for (path, profile) in state.db_files_matching(&prefix, &suffix, live) {
                     hit = Some(profile);
                     added += 1;
-                    merged.push(Value::Str(path));
+                    merged.push(Value::from(path.as_str()));
                 }
                 match hit {
                     Some(p) => Outcome::Deceive(

@@ -61,12 +61,12 @@ impl DeceptionRule for IdentityRule {
                 let faked = format!("{}\\{}.exe", cfg.fake_sample_dir, hash_name(&image));
                 Outcome::Deceive(
                     Deception::new(Category::Identity, "sample path", Profile::Generic, &faked),
-                    Value::Str(faked),
+                    Value::from(faked),
                 )
             }
             Api::GetUserName => Outcome::Deceive(
                 Deception::new(Category::Identity, "user name", Profile::Generic, &cfg.fake_user),
-                Value::Str(cfg.fake_user.clone()),
+                Value::from(cfg.fake_user.as_str()),
             ),
             Api::GetComputerName => Outcome::Deceive(
                 Deception::new(
@@ -75,7 +75,7 @@ impl DeceptionRule for IdentityRule {
                     Profile::Generic,
                     &cfg.fake_computer,
                 ),
-                Value::Str(cfg.fake_computer.clone()),
+                Value::from(cfg.fake_computer.as_str()),
             ),
             _ => Outcome::Pass,
         }

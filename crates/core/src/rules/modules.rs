@@ -59,7 +59,7 @@ impl DeceptionRule for ModulesRule {
                 let mut first = None;
                 for (name, profile) in state.dll_list() {
                     if live.admits(*profile) {
-                        merged.push(Value::Str(name.clone()));
+                        merged.push(Value::from(name.as_str()));
                         first.get_or_insert(*profile);
                     }
                 }

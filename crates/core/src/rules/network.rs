@@ -47,7 +47,7 @@ impl DeceptionRule for NetworkRule {
                     let sinkhole = format!("{}.{}.{}.{}", a[0], a[1], a[2], a[3]);
                     return Outcome::Deceive(
                         Deception::new(Category::Network, domain, Profile::Generic, &sinkhole),
-                        Value::Str(sinkhole),
+                        Value::from(sinkhole),
                     );
                 }
                 Outcome::Done(original)

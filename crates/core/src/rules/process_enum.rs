@@ -23,7 +23,7 @@ fn merge_processes(state: &EngineState, live: Live, original: &Value) -> Outcome
     for (name, profile) in state.proc_list() {
         if live.admits(*profile) {
             if !merged.iter().any(|v| v.as_str().is_some_and(|s| s.eq_ignore_ascii_case(name))) {
-                merged.push(Value::Str(name.clone()));
+                merged.push(Value::from(name.as_str()));
             }
             first.get_or_insert(*profile);
         }

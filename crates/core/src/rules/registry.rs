@@ -58,13 +58,12 @@ impl DeceptionRule for RegistryRule {
                 let hit = state
                     .db
                     .reg_value(call.args.str(0), call.args.str(1))
-                    .filter(|&(_, p)| live.admits(p))
-                    .map(|(d, p)| (d.to_owned(), p));
+                    .filter(|&(_, p)| live.admits(p));
                 if let Some((data, p)) = hit {
                     let path = format!("{}\\{}", call.args.str(0), call.args.str(1));
                     return Outcome::Deceive(
-                        Deception::new(Category::Registry, path, p, data.clone()),
-                        Value::Str(data),
+                        Deception::new(Category::Registry, path, p, data),
+                        Value::from(data),
                     );
                 }
                 Outcome::Pass

@@ -1,5 +1,7 @@
 //! Fabricated wear-and-tear artifacts (Section IV-C.2, Table III).
 
+use std::sync::Arc;
+
 use winsim::{Api, ApiCall, Value};
 
 use crate::config::Config;
@@ -61,20 +63,26 @@ impl DeceptionRule for WearTearRule {
                             .wear
                             .dns_cache_entries
                             .iter()
-                            .map(|d| Value::Str(d.clone()))
+                            .map(|d| Value::Str(Arc::clone(d)))
                             .collect(),
                     ),
                 )
             }
             Api::EvtNext => {
+                // Round-robin over the fake sources; no sources, no events.
                 let limit = (call.args.u64(0) as usize).min(state.wear.sys_events);
-                let answer = format!("{limit} fabricated events");
-                let srcs = &state.wear.event_sources;
+                let events: Vec<Value> = state
+                    .wear
+                    .event_sources
+                    .iter()
+                    .cycle()
+                    .take(limit)
+                    .map(|s| Value::Str(Arc::clone(s)))
+                    .collect();
+                let answer = format!("{} fabricated events", events.len());
                 Outcome::Deceive(
                     Deception::new(Category::WearTear, "system events", Profile::Generic, answer),
-                    Value::List(
-                        (0..limit).map(|i| Value::Str(srcs[i % srcs.len()].clone())).collect(),
-                    ),
+                    Value::List(events),
                 )
             }
             Api::NtQuerySystemInformation => {

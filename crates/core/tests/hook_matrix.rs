@@ -138,7 +138,7 @@ fn toolhelp_snapshots_contain_planted_processes() {
     }
     assert!(seen.iter().any(|p| p.eq_ignore_ascii_case("olydbg.exe")));
     assert!(seen.iter().any(|p| p.eq_ignore_ascii_case("VBoxTray.exe")));
-    assert!(seen.iter().any(|p| p == "explorer.exe"), "real processes remain");
+    assert!(seen.iter().any(|p| &**p == "explorer.exe"), "real processes remain");
     // software category off: the snapshot is honest
     let (_e, mut m, pid) = protected_machine(Config { software: false, ..Config::default() });
     let handle = call(&mut m, pid, Api::CreateToolhelp32Snapshot, args![]).as_u64().unwrap();

@@ -84,7 +84,7 @@ pub fn all_artifacts() -> Vec<Artifact> {
         a("sysevt", System, |ctx| ctx.system_events(1_000_000).len() as f64),
         a("syssrc", System, |ctx| {
             let events = ctx.system_events(1_000_000);
-            events.iter().map(String::as_str).collect::<HashSet<&str>>().len() as f64
+            events.iter().map(|s| &**s).collect::<HashSet<&str>>().len() as f64
         }),
         a("totalProcesses", System, |ctx| ctx.process_list().len() as f64),
         a("uptimeMinutes", System, |ctx| ctx.tick_count() as f64 / 60_000.0),

@@ -4,14 +4,19 @@
 //! (`sysevt`) and distinct event sources (`syssrc`) as top-5 aging
 //! artifacts; Scarecrow hooks `EvtNext()` and "only returns the top 8000
 //! system events" (Table III).
+//!
+//! Each source name is stored once, as an `Arc<str>` every event of that
+//! source shares, so an `EvtNext` answer hands out refcounted names rather
+//! than one copy per event.
 
 use std::sync::Arc;
 
 /// One record in the system event log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SysEvent {
-    /// Event source ("Service Control Manager", "Application Error", ...).
-    pub source: String,
+    /// Event source ("Service Control Manager", "Application Error", ...),
+    /// shared by every event of that source.
+    pub source: Arc<str>,
     /// Provider-specific event id.
     pub event_id: u32,
     /// Virtual timestamp (ms since an arbitrary epoch before boot).
@@ -28,7 +33,7 @@ pub struct SysEvent {
 /// let capped = log.recent(8_000);
 /// assert_eq!(capped.len(), 8_000);
 /// // distinct sources, as the `syssrc` artifact counts them
-/// assert_eq!(capped.iter().map(|e| e.source.as_str()).collect::<HashSet<_>>().len(), 2);
+/// assert_eq!(capped.iter().map(|e| &*e.source).collect::<HashSet<_>>().len(), 2);
 /// ```
 ///
 /// The seeded event store is `Arc`-shared so machine snapshots clone in
@@ -46,22 +51,18 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// Appends an event.
-    pub fn push(&mut self, source: &str, event_id: u32, time: u64) {
-        Arc::make_mut(&mut self.events).push(SysEvent {
-            source: source.to_owned(),
-            event_id,
-            time,
-        });
-    }
-
-    /// Seeds the log with `count` synthetic events spread over `sources`,
-    /// modeling a system that has been in use.
+    /// Seeds the log with `count` synthetic events spread round-robin over
+    /// `sources`, modeling a system that has been in use. Each source is
+    /// allocated once and shared by its events; with no sources there is
+    /// nothing to attribute an event to, so nothing is appended.
     pub fn seed(&mut self, count: usize, sources: &[&str]) {
-        for i in 0..count {
-            let source = sources[i % sources.len().max(1)];
-            self.push(source, 1000 + (i % 40) as u32, i as u64 * 1000);
-        }
+        let shared: Vec<Arc<str>> = sources.iter().map(|&s| Arc::from(s)).collect();
+        let events = shared.iter().cycle().take(count).enumerate().map(|(i, source)| SysEvent {
+            source: Arc::clone(source),
+            event_id: 1000 + (i % 40) as u32,
+            time: i as u64 * 1000,
+        });
+        Arc::make_mut(&mut self.events).extend(events);
     }
 
     /// Total number of events (the `sysevt` artifact).
@@ -95,8 +96,17 @@ mod tests {
         let mut log = EventLog::new();
         log.seed(100, &["SCM", "AppErr", "Kernel-General"]);
         assert_eq!(log.len(), 100);
-        let sources: Vec<&str> = log.events()[..4].iter().map(|e| e.source.as_str()).collect();
+        let sources: Vec<&str> = log.events()[..4].iter().map(|e| &*e.source).collect();
         assert_eq!(sources, ["SCM", "AppErr", "Kernel-General", "SCM"]);
+        // one allocation per source, shared by its events
+        assert!(Arc::ptr_eq(&log.events()[0].source, &log.events()[3].source));
+    }
+
+    #[test]
+    fn seed_without_sources_appends_nothing() {
+        let mut log = EventLog::new();
+        log.seed(100, &[]);
+        assert!(log.is_empty());
     }
 
     #[test]

@@ -665,7 +665,7 @@ impl Machine {
                 let path = args.str(0);
                 let index = args.u64(1) as usize;
                 match m.sys.registry.subkey(path, index) {
-                    Some(name) => Value::Str(name.to_owned()),
+                    Some(name) => Value::from(name),
                     None => Value::Status(NtStatus::NoMoreEntries),
                 }
             }
@@ -754,8 +754,7 @@ impl Machine {
             }
             Api::FindFirstFile => {
                 let pattern = args.str(0);
-                let matches = glob_files(&m.sys, pattern);
-                Value::List(matches.into_iter().map(Value::Str).collect())
+                Value::List(glob_files(&m.sys, pattern))
             }
             Api::GetDiskFreeSpaceEx => {
                 m.record(pid, EventKind::InfoQuery { what: "GetDiskFreeSpaceEx".to_owned() });
@@ -838,9 +837,8 @@ impl Machine {
                     }
                     "ParentPid" => Value::U64(u64::from(p.parent)),
                     "ParentImage" => {
-                        let img =
-                            m.procs.get(&p.parent).map(|pp| pp.image.clone()).unwrap_or_default();
-                        Value::Str(img)
+                        let img = m.procs.get(&p.parent).map_or("", |pp| pp.image.as_str());
+                        Value::from(img)
                     }
                     _ => Value::Status(NtStatus::InvalidParameter),
                 }
@@ -860,7 +858,7 @@ impl Machine {
                     .procs
                     .values()
                     .filter(|p| p.state != ProcState::Terminated)
-                    .map(|p| Value::Str(p.image.clone()))
+                    .map(|p| Value::from(p.image.as_str()))
                     .collect();
                 Value::List(list)
             }
@@ -882,9 +880,9 @@ impl Machine {
                 match m.snapshots.get_mut(&handle) {
                     Some((images, cursor)) => match images.get(*cursor) {
                         Some(image) => {
-                            let image = image.clone();
+                            let image = Value::from(image.as_str());
                             *cursor += 1;
-                            Value::Str(image)
+                            image
                         }
                         None => Value::Status(NtStatus::NoMoreEntries),
                     },
@@ -932,13 +930,13 @@ impl Machine {
                 let list = m
                     .procs
                     .get(&pid)
-                    .map(|p| p.modules.iter().map(|s| Value::Str(s.clone())).collect())
+                    .map(|p| p.modules.iter().map(|s| Value::from(s.as_str())).collect())
                     .unwrap_or_default();
                 Value::List(list)
             }
             Api::GetModuleFileName => {
-                let path = m.procs.get(&pid).map(|p| p.image_path.clone()).unwrap_or_default();
-                Value::Str(path)
+                let path = m.procs.get(&pid).map_or("", |p| p.image_path.as_str());
+                Value::from(path)
             }
             Api::GetProcAddress => {
                 let module = args.str(0);
@@ -963,7 +961,7 @@ impl Machine {
                             .procs
                             .values()
                             .filter(|p| p.state != ProcState::Terminated)
-                            .map(|p| Value::Str(p.image.clone()))
+                            .map(|p| Value::from(p.image.as_str()))
                             .collect();
                         Value::List(list)
                     }
@@ -972,13 +970,13 @@ impl Machine {
                     _ => Value::Status(NtStatus::InvalidParameter),
                 }
             }
-            Api::GetUserName => Value::Str(m.sys.config.user_name.clone()),
-            Api::GetComputerName => Value::Str(m.sys.config.computer_name.clone()),
+            Api::GetUserName => Value::from(m.sys.config.user_name.as_str()),
+            Api::GetComputerName => Value::from(m.sys.config.computer_name.as_str()),
             Api::GetCursorPos => {
                 let (x, y) = m.sys.input.cursor_at(m.sys.clock.now_ms());
                 Value::List(vec![Value::I64(i64::from(x)), Value::I64(i64::from(y))])
             }
-            Api::GetAdaptersInfo => Value::Str(m.sys.hardware.mac_string()),
+            Api::GetAdaptersInfo => Value::from(m.sys.hardware.mac_string()),
             Api::IsNativeVhdBoot => {
                 if m.sys.config.os >= OsVersion::Win8 {
                     Value::Bool(false)
@@ -1003,7 +1001,7 @@ impl Machine {
                 let resolved = m.sys.network.resolve(&domain);
                 m.record(pid, EventKind::DnsQuery { domain, resolved: resolved.map(fmt_addr) });
                 match resolved {
-                    Some(addr) => Value::Str(fmt_addr(addr)),
+                    Some(addr) => Value::from(fmt_addr(addr)),
                     None => Value::Status(NtStatus::ObjectNameNotFound),
                 }
             }
@@ -1022,7 +1020,7 @@ impl Machine {
                     .network
                     .dns_cache()
                     .iter()
-                    .map(|e| Value::Str(e.domain.clone()))
+                    .map(|e| Value::from(e.domain.as_str()))
                     .collect();
                 Value::List(list)
             }
@@ -1035,7 +1033,7 @@ impl Machine {
                     .eventlog
                     .recent(limit)
                     .iter()
-                    .map(|e| Value::Str(e.source.clone()))
+                    .map(|e| Value::Str(Arc::clone(&e.source)))
                     .collect();
                 Value::List(list)
             }
@@ -1114,17 +1112,17 @@ fn fmt_addr(a: [u8; 4]) -> String {
 
 fn reg_to_value(v: &RegValue) -> Value {
     match v {
-        RegValue::Sz(s) => Value::Str(s.clone()),
+        RegValue::Sz(s) => Value::from(s.as_str()),
         RegValue::Dword(d) => Value::U64(u64::from(*d)),
         RegValue::Qword(q) => Value::U64(*q),
         RegValue::Binary(b) => Value::Bytes(b.clone()),
-        RegValue::MultiSz(l) => Value::List(l.iter().map(|s| Value::Str(s.clone())).collect()),
+        RegValue::MultiSz(l) => Value::List(l.iter().map(|s| Value::from(s.as_str())).collect()),
     }
 }
 
 fn value_to_reg(v: Value) -> RegValue {
     match v {
-        Value::Str(s) => RegValue::Sz(s),
+        Value::Str(s) => RegValue::Sz(s.to_string()),
         Value::U64(u) => RegValue::Qword(u),
         Value::I64(i) => RegValue::Qword(i as u64),
         Value::Bool(b) => RegValue::Dword(u32::from(b)),
@@ -1136,8 +1134,9 @@ fn value_to_reg(v: Value) -> RegValue {
     }
 }
 
-/// Minimal `prefix*suffix` glob over file paths.
-fn glob_files(sys: &System, pattern: &str) -> Vec<String> {
+/// Minimal `prefix*suffix` glob over file paths; the matching paths as
+/// string values.
+fn glob_files(sys: &System, pattern: &str) -> Vec<Value> {
     let p = pattern.to_ascii_lowercase().replace('/', "\\");
     let (prefix, suffix) = match p.split_once('*') {
         Some((a, b)) => (a.to_owned(), b.to_owned()),
@@ -1149,7 +1148,7 @@ fn glob_files(sys: &System, pattern: &str) -> Vec<String> {
             let low = f.path.to_ascii_lowercase();
             low.starts_with(&prefix) && low.ends_with(&suffix)
         })
-        .map(|f| f.path.clone())
+        .map(|f| Value::from(f.path.as_str()))
         .collect()
 }
 
@@ -1519,5 +1518,36 @@ mod tests {
         let pid = m.add_system_process("t.exe");
         let v = m.call_api(pid, Api::FindFirstFile, args![r"C:\a\*.sys"]);
         assert_eq!(v.as_list().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn registry_strings_round_trip_through_values() {
+        let sz = RegValue::Sz("03/14/14".to_owned());
+        assert_eq!(reg_to_value(&sz), Value::from("03/14/14"));
+        assert_eq!(value_to_reg(reg_to_value(&sz)), sz);
+        let multi = RegValue::MultiSz(vec!["a".to_owned(), String::new(), "c d".to_owned()]);
+        let v = reg_to_value(&multi);
+        assert_eq!(
+            v.as_list().unwrap().iter().filter_map(Value::as_str).collect::<Vec<_>>(),
+            ["a", "", "c d"]
+        );
+        assert_eq!(value_to_reg(v), multi);
+    }
+
+    #[test]
+    fn evt_next_shares_one_allocation_per_source() {
+        let mut m = crate::env::end_user_machine();
+        let pid = m.add_system_process("t.exe");
+        let v = m.call_api(pid, Api::EvtNext, args![1_000_000u64]);
+        let list = v.as_list().unwrap();
+        assert_eq!(list.len(), 25_000);
+        let allocations: std::collections::HashSet<*const u8> = list
+            .iter()
+            .map(|e| match e {
+                Value::Str(s) => Arc::as_ptr(s).cast::<u8>(),
+                other => panic!("EvtNext element {other:?} is not a string"),
+            })
+            .collect();
+        assert_eq!(allocations.len(), 30);
     }
 }

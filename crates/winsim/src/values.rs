@@ -5,6 +5,12 @@
 //! small dynamic [`Value`] type. Hook handlers inspect and rewrite these
 //! values, exactly as the paper's `scarecrow.dll` "inspects the call
 //! parameters and return values".
+//!
+//! Strings are `Arc<str>`: an enumeration answer whose elements repeat a
+//! few stored names (event sources, the fabricated DNS cache) clones one
+//! shared allocation per element instead of copying the bytes.
+
+use std::sync::Arc;
 
 use crate::error::NtStatus;
 
@@ -19,8 +25,9 @@ pub enum Value {
     U64(u64),
     /// A signed integer (exit codes, coordinates).
     I64(i64),
-    /// A string (paths, key names, domains).
-    Str(String),
+    /// A string (paths, key names, domains), shared rather than copied
+    /// when an answer repeats it.
+    Str(Arc<str>),
     /// A list of values (enumerations).
     List(Vec<Value>),
     /// Raw bytes (registry binary values, code bytes).
@@ -69,7 +76,7 @@ impl Value {
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_ref()),
             _ => None,
         }
     }
@@ -125,11 +132,16 @@ impl From<i64> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_owned())
+        Value::Str(Arc::from(v))
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(Arc::from(v))
+    }
+}
+impl From<Arc<str>> for Value {
+    fn from(v: Arc<str>) -> Self {
         Value::Str(v)
     }
 }

@@ -6,15 +6,18 @@
 //! of hand-building an [`crate::Args`] pack. Every wrapper goes through
 //! [`ProcessCtx::call`], so hooks see all of them.
 
+use std::sync::Arc;
+
 use crate::api::Api;
 use crate::args;
 use crate::process::Pid;
 use crate::program::ProcessCtx;
 use crate::values::Value;
 
-/// The strings of a list answer, moved out of their `Value::Str`s; any
-/// other answer is an empty list.
-fn strings(answer: Value) -> Vec<String> {
+/// The strings of a list answer, moved out of their `Value::Str`s without
+/// copying (an element that repeats a stored name stays shared with it);
+/// any other answer is an empty list.
+fn strings(answer: Value) -> Vec<Arc<str>> {
     match answer {
         Value::List(l) => l
             .into_iter()
@@ -117,7 +120,7 @@ impl ProcessCtx<'_> {
     }
 
     /// `FindFirstFile`-style glob; returns matching paths.
-    pub fn find_files(&mut self, pattern: &str) -> Vec<String> {
+    pub fn find_files(&mut self, pattern: &str) -> Vec<Arc<str>> {
         strings(self.call(Api::FindFirstFile, args![pattern]))
     }
 
@@ -183,7 +186,7 @@ impl ProcessCtx<'_> {
     }
 
     /// `EnumProcesses`: images of all live processes.
-    pub fn process_list(&mut self) -> Vec<String> {
+    pub fn process_list(&mut self) -> Vec<Arc<str>> {
         strings(self.call(Api::EnumProcesses, args![]))
     }
 
@@ -194,7 +197,7 @@ impl ProcessCtx<'_> {
 
     /// Full Toolhelp32 walk: `CreateToolhelp32Snapshot` + `Process32Next`
     /// until exhaustion (the enumeration style most real malware uses).
-    pub fn toolhelp_process_list(&mut self) -> Vec<String> {
+    pub fn toolhelp_process_list(&mut self) -> Vec<Arc<str>> {
         let handle = self.call(Api::CreateToolhelp32Snapshot, args![]).as_u64().unwrap_or(0);
         let mut out = Vec::new();
         while let Value::Str(image) = self.call(Api::Process32Next, args![handle]) {
@@ -243,7 +246,7 @@ impl ProcessCtx<'_> {
     }
 
     /// `NtQuerySystemInformation(SystemProcessInformation)` image list.
-    pub fn nt_process_list(&mut self) -> Vec<String> {
+    pub fn nt_process_list(&mut self) -> Vec<Arc<str>> {
         strings(self.call(Api::NtQuerySystemInformation, args!["ProcessInformation"]))
     }
 
@@ -290,7 +293,7 @@ impl ProcessCtx<'_> {
     // ---------- network ----------
 
     /// `DnsQuery`; returns the resolved address string.
-    pub fn dns_resolve(&mut self, domain: &str) -> Option<String> {
+    pub fn dns_resolve(&mut self, domain: &str) -> Option<Arc<str>> {
         match self.call(Api::DnsQuery, args![domain]) {
             Value::Str(s) => Some(s),
             _ => None,
@@ -306,7 +309,7 @@ impl ProcessCtx<'_> {
     }
 
     /// `DnsGetCacheDataTable`: cached domains.
-    pub fn dns_cache_table(&mut self) -> Vec<String> {
+    pub fn dns_cache_table(&mut self) -> Vec<Arc<str>> {
         strings(self.call(Api::DnsGetCacheDataTable, args![]))
     }
 
@@ -314,7 +317,7 @@ impl ProcessCtx<'_> {
 
     /// `EvtNext` over the System channel: sources of up to `limit` recent
     /// events.
-    pub fn system_events(&mut self, limit: u64) -> Vec<String> {
+    pub fn system_events(&mut self, limit: u64) -> Vec<Arc<str>> {
         strings(self.call(Api::EvtNext, args![limit]))
     }
 
@@ -387,7 +390,7 @@ mod tests {
         assert_eq!(ctx.dns_resolve("a.example.com").as_deref(), Some("1.2.3.4"));
         assert_eq!(ctx.dns_resolve("missing.test"), None);
         assert_eq!(ctx.http_get("missing.test"), None);
-        assert_eq!(ctx.dns_cache_table(), vec!["a.example.com".to_owned()]);
+        assert_eq!(ctx.dns_cache_table(), [Arc::from("a.example.com")]);
     }
 
     #[test]

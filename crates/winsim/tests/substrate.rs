@@ -112,9 +112,9 @@ fn enum_processes_reflects_preset_population() {
     let pid = m.add_system_process("probe.exe");
     let mut ctx = ProcessCtx::new(&mut m, pid);
     let list = ctx.process_list();
-    assert!(list.iter().any(|p| p == "VBoxService.exe"));
-    assert!(list.iter().any(|p| p == "python.exe"));
-    assert!(list.iter().any(|p| p == "explorer.exe"));
+    assert!(list.iter().any(|p| &**p == "VBoxService.exe"));
+    assert!(list.iter().any(|p| &**p == "python.exe"));
+    assert!(list.iter().any(|p| &**p == "explorer.exe"));
     assert!(list.len() > 10);
 }
 
@@ -191,8 +191,8 @@ fn toolhelp_snapshots_iterate_live_processes() {
     let pid = m.add_system_process("probe.exe");
     let mut ctx = ProcessCtx::new(&mut m, pid);
     let list = ctx.toolhelp_process_list();
-    assert!(list.iter().any(|p| p == "VBoxService.exe"));
-    assert!(list.iter().any(|p| p == "explorer.exe"));
+    assert!(list.iter().any(|p| &**p == "VBoxService.exe"));
+    assert!(list.iter().any(|p| &**p == "explorer.exe"));
     // a second walk gets a fresh snapshot with its own cursor
     let list2 = ctx.toolhelp_process_list();
     assert_eq!(list.len(), list2.len());
@@ -217,7 +217,7 @@ fn snapshots_are_point_in_time() {
     while let Value::Str(s) = m.call_api(pid, Api::Process32Next, args![handle]) {
         seen.push(s);
     }
-    assert!(!seen.iter().any(|p| p == "latecomer.exe"));
+    assert!(!seen.iter().any(|p| &**p == "latecomer.exe"));
 }
 
 #[test]

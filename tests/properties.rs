@@ -549,10 +549,18 @@ fn merge_preserves_event_count() {
 
 #[test]
 fn args_set_get_round_trip() {
-    let input = |g: &mut Gen| (g.index(0..8), g.string(&printable(), 0..13));
-    check("args_set_get_round_trip", DEFAULT_CASES, input, |(idx, s)| {
+    // which conversion builds the value: from `&str`, `String` or `Arc<str>`
+    let input = |g: &mut Gen| (g.index(0..8), g.string(&printable(), 0..13), g.index(0..3));
+    check("args_set_get_round_trip", DEFAULT_CASES, input, |(idx, s, form)| {
+        let value = match form {
+            0 => Value::from(s.as_str()),
+            1 => Value::from(s.clone()),
+            _ => Value::from(std::sync::Arc::<str>::from(s.as_str())),
+        };
+        assert_eq!(value, Value::from(s.as_str()));
+        assert_eq!(value.as_str(), Some(s.as_str()));
         let mut args = Args::none();
-        args.set(idx, Value::Str(s.clone()));
+        args.set(idx, value);
         assert_eq!(args.str(idx), s.as_str());
         assert!(args.len() > idx);
     });
@@ -597,6 +605,69 @@ fn fail_policy_never_resolves_unknown_domains() {
             assert_eq!(n.resolve(d), None);
             assert!(n.dns_cache().is_empty());
         }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// wear-and-tear invariants
+// ---------------------------------------------------------------------------
+
+/// The event sources `WearProfile::apply` can seed from.
+const WEAR_SOURCES_LISTED: u64 = 30;
+
+/// A count up to `max`; one draw in four is zero, the edge that empties a
+/// store.
+fn wear_count(g: &mut Gen, max: u64) -> usize {
+    if g.index(0..4) == 0 {
+        0
+    } else {
+        g.range(0..max + 1) as usize
+    }
+}
+
+fn wear_profile(g: &mut Gen) -> winsim::env::WearProfile {
+    winsim::env::WearProfile {
+        device_classes: wear_count(g, 40),
+        autoruns: wear_count(g, 12),
+        uninstall: wear_count(g, 40),
+        shared_dlls: wear_count(g, 40),
+        app_paths: wear_count(g, 40),
+        active_setup: wear_count(g, 40),
+        user_assist: wear_count(g, 40),
+        shim_cache: wear_count(g, 40),
+        mui_cache: wear_count(g, 40),
+        firewall_rules: wear_count(g, 40),
+        usb_stor: wear_count(g, 8),
+        dns_cache: wear_count(g, 60),
+        sys_events: wear_count(g, 12_000),
+        event_sources: wear_count(g, 40),
+        padding_keys: wear_count(g, 200),
+    }
+}
+
+#[test]
+fn generated_wear_profiles_measure_without_panicking() {
+    let engine = scarecrow::Scarecrow::with_builtin_db(Config::default());
+    let fake_sources = scarecrow::WearTearFakes::default().event_sources.len() as f64;
+    check("generated_wear_profiles_measure_without_panicking", 64, wear_profile, |profile| {
+        let measure = |engine: Option<&scarecrow::Scarecrow>| {
+            let mut sys = winsim::System::new();
+            profile.apply(&mut sys);
+            let mut m = winsim::Machine::new(sys);
+            let pid = harness::spawn_probe(&mut m, "weartear.exe", engine);
+            weartear::WearMeasurement::collect(&mut winsim::ProcessCtx::new(&mut m, pid))
+        };
+        let plain = measure(None);
+        let events = profile.sys_events as u64;
+        let sources = (profile.event_sources as u64).min(WEAR_SOURCES_LISTED);
+        // no sources means no events
+        let seeded = if sources == 0 { 0 } else { events };
+        assert_eq!(plain.value("sysevt"), seeded as f64);
+        assert_eq!(plain.value("syssrc"), sources.min(seeded) as f64);
+        assert_eq!(plain.value("dnscacheEntries"), profile.dns_cache as f64);
+        let protected = measure(Some(&engine));
+        assert_eq!(protected.value("sysevt"), 8_000.0);
+        assert_eq!(protected.value("syssrc"), fake_sources);
     });
 }
 
