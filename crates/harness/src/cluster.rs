@@ -364,7 +364,7 @@ mod tests {
     use malware_sim::{malgene_corpus, SampleClass};
     use scarecrow::Config;
     use tracer::ToJson;
-    use winsim::env::{bare_metal_sandbox, end_user_machine};
+    use winsim::env::{bare_metal_sandbox, end_user_machine, vm_sandbox};
     use winsim::DriveInfo;
 
     fn cluster() -> Cluster {
@@ -480,34 +480,45 @@ mod tests {
     fn snapshot_restore_matches_factory_rebuild() {
         let corpus: Vec<_> = malgene_corpus(3).into_iter().take(12).collect();
         let limits = RunLimits { budget_ms: 60_000, max_processes: 60 };
-        let snap = cluster().with_limits(limits);
-        let rebuild =
-            cluster().with_limits(limits).with_reset_strategy(ResetStrategy::FactoryRebuild);
-        // per-sample: byte-identical traces and equal verdicts
-        for s in &corpus {
-            let a = snap.run_pair(s.sample.clone().into_program());
-            let b = rebuild.run_pair(s.sample.clone().into_program());
-            assert_eq!(a.baseline, b.baseline, "{}: baseline trace differs", s.md5);
-            assert_eq!(a.protected.trace, b.protected.trace, "{}: protected trace differs", s.md5);
-            assert_eq!(a.verdict, b.verdict, "{}", s.md5);
+        let engine = || Scarecrow::with_builtin_db(Config::default());
+        // bare metal, and the VM sandbox whose Cuckoo monitor is injected
+        // into every process a sample creates
+        for preset in [bare_metal_sandbox as fn() -> Machine, vm_sandbox] {
+            let factory: MachineFactory = Arc::new(preset);
+            let snap = Cluster::new(Arc::clone(&factory), engine()).with_limits(limits);
+            let rebuild = Cluster::new(factory, engine())
+                .with_limits(limits)
+                .with_reset_strategy(ResetStrategy::FactoryRebuild);
+            // per-sample: byte-identical traces and equal verdicts
+            for s in &corpus {
+                let a = snap.run_pair(s.sample.clone().into_program());
+                let b = rebuild.run_pair(s.sample.clone().into_program());
+                assert_eq!(a.baseline, b.baseline, "{}: baseline trace differs", s.md5);
+                assert_eq!(
+                    a.protected.trace, b.protected.trace,
+                    "{}: protected trace differs",
+                    s.md5
+                );
+                assert_eq!(a.verdict, b.verdict, "{}", s.md5);
+            }
+            // whole sweeps: reports and telemetry counters agree
+            let ra = snap.run_corpus(&corpus);
+            let rb = rebuild.run_corpus(&corpus);
+            assert_eq!(ra.results(), rb.results());
+            let ta = ra.telemetry().expect("telemetry on by default");
+            let tb = rb.telemetry().expect("telemetry on by default");
+            assert!(ta.counters_agree(tb), "snapshot {ta:#?}\nrebuild {tb:#?}");
+            assert_eq!(ta.deterministic, tb.deterministic);
+            assert_eq!(
+                ta.deterministic.to_json().to_string(),
+                tb.deterministic.to_json().to_string(),
+                "deterministic telemetry must serialize byte-identically across reset strategies"
+            );
+            // and the work-stealing parallel sweep matches both
+            let rp = snap.run_corpus_parallel(&corpus, 4);
+            assert_eq!(ra.results(), rp.results());
+            assert!(ta.counters_agree(rp.telemetry().expect("telemetry on by default")));
         }
-        // whole sweeps: reports and telemetry counters agree
-        let ra = snap.run_corpus(&corpus);
-        let rb = rebuild.run_corpus(&corpus);
-        assert_eq!(ra.results(), rb.results());
-        let ta = ra.telemetry().expect("telemetry on by default");
-        let tb = rb.telemetry().expect("telemetry on by default");
-        assert!(ta.counters_agree(tb), "snapshot {ta:#?}\nrebuild {tb:#?}");
-        assert_eq!(ta.deterministic, tb.deterministic);
-        assert_eq!(
-            ta.deterministic.to_json().to_string(),
-            tb.deterministic.to_json().to_string(),
-            "deterministic telemetry must serialize byte-identically across reset strategies"
-        );
-        // and the work-stealing parallel sweep matches both
-        let rp = snap.run_corpus_parallel(&corpus, 4);
-        assert_eq!(ra.results(), rp.results());
-        assert!(ta.counters_agree(rp.telemetry().expect("telemetry on by default")));
 
         // the write-heavy preset: benign apps write into the 60k-key hive,
         // and the ransomware cases rename and encrypt preset files, which
@@ -517,7 +528,6 @@ mod tests {
             m.system_mut().fs.set_drive('D', DriveInfo::gb(1_000, 800));
             m
         });
-        let engine = || Scarecrow::with_builtin_db(Config::default());
         let snap = Cluster::new(Arc::clone(&factory), engine());
         let rebuild =
             Cluster::new(factory, engine()).with_reset_strategy(ResetStrategy::FactoryRebuild);
@@ -538,6 +548,14 @@ mod tests {
         let files = |m: &Machine| -> Vec<(String, bool)> {
             m.system().fs.iter().map(|f| (f.path.clone(), f.encrypted)).collect()
         };
+        let processes = |m: &Machine| -> Vec<String> {
+            m.processes()
+                .map(|p| {
+                    let (pid, state, hooked) = (p.pid, p.state, p.hooked_api_count());
+                    format!("{pid} {} {state:?} {} {:?} {hooked}", p.image, p.exit_code, p.modules)
+                })
+                .collect()
+        };
         for program in programs {
             let name = program.image_name().to_owned();
             let (ma, baseline_a, protected_a, verdict_a) = paired(&snap, &program);
@@ -550,6 +568,7 @@ mod tests {
             assert_eq!(ra.key_count(), rb.key_count(), "{name}");
             assert_eq!(ma.system().fs.file_count(), mb.system().fs.file_count(), "{name}");
             assert_eq!(files(&ma), files(&mb), "{name}: file views differ");
+            assert_eq!(processes(&ma), processes(&mb), "{name}: process tables differ");
         }
     }
 

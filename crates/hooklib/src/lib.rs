@@ -177,8 +177,12 @@ impl Injector {
             removed += machine.uninstall_hooks(pid, *api, &self.dll.label);
             removed += machine.uninstall_hooks(pid, *api, FOLLOW_LABEL);
         }
-        if let Some(p) = machine.process_mut(pid) {
-            p.modules.retain(|m| !m.eq_ignore_ascii_case(&self.dll.name));
+        // read first: a process without the module stays shared with its
+        // snapshot
+        if machine.process(pid).is_some_and(|p| p.module_loaded(&self.dll.name)) {
+            if let Some(p) = machine.process_mut(pid) {
+                p.modules.retain(|m| !m.eq_ignore_ascii_case(&self.dll.name));
+            }
         }
         removed
     }
@@ -451,6 +455,18 @@ mod tests {
         let p = m.process(pid).unwrap();
         assert!(!p.module_loaded("scarecrow.dll"));
         assert!(!check_hook(&p.api_prologue(Api::IsDebuggerPresent)));
+    }
+
+    #[test]
+    fn eject_from_an_uninjected_process_leaves_it_shared() {
+        let mut m = Machine::new(System::new());
+        m.register_program(Arc::new(DebugCheckingPayload));
+        let pid = m.launch("payload.exe").unwrap();
+        let snap = winsim::MachineSnapshot::capture(&m);
+        let (mut run, sibling) = (snap.instantiate(), snap.instantiate());
+        assert_eq!(Injector::new(test_dll()).eject(&mut run, pid), 0);
+        // a shared record has one address in every machine that holds it
+        assert!(std::ptr::eq(run.process(pid).unwrap(), sibling.process(pid).unwrap()));
     }
 
     #[test]

@@ -48,15 +48,18 @@ pub const DEFAULT_MAX_PROCESSES: usize = 4_096;
 /// ```
 ///
 /// Cloning a machine is cheap: the registry and filesystem are
-/// base-plus-overlay stores whose base is `Arc`-shared, and the event log
-/// and per-process hook tables are `Arc`-shared, so a clone of a freshly
-/// built preset is a handful of refcount bumps (see [`MachineSnapshot`]).
-/// A registry or file write on a clone lands in that clone's own small
-/// delta; the shared base is never copied.
+/// base-plus-overlay stores whose base is `Arc`-shared; the event log, the
+/// network tables, the DLL registry and every process record are
+/// `Arc`-shared. A clone of a freshly built preset is therefore one
+/// refcount bump per process and per shared table, plus the process
+/// table's own B-tree nodes and a few small plain fields (identity
+/// strings, the hardware description); see [`MachineSnapshot`]. A
+/// registry or file write on a clone lands in that clone's own small
+/// delta; a process or network write copies that one record or table.
 #[derive(Clone)]
 pub struct Machine {
     sys: System,
-    procs: BTreeMap<Pid, Process>,
+    procs: BTreeMap<Pid, Arc<Process>>,
     programs: HashMap<String, Arc<dyn Program>>,
     queue: VecDeque<Pid>,
     trace: Trace,
@@ -165,7 +168,7 @@ impl Machine {
         let peb = Peb { being_debugged: false, number_of_processors: cores };
         let mut system_proc = Process::new(4, 0, "System", "System", peb);
         system_proc.is_system = true;
-        m.procs.insert(4, system_proc);
+        m.procs.insert(4, Arc::new(system_proc));
         m.explorer = m.add_system_process("explorer.exe");
         m
     }
@@ -289,7 +292,7 @@ impl Machine {
         let peb = Peb { being_debugged: false, number_of_processors: self.sys.hardware.num_cores };
         let mut p = Process::new(pid, 4, image, &format!(r"C:\Windows\System32\{image}"), peb);
         p.is_system = true;
-        self.procs.insert(pid, p);
+        self.procs.insert(pid, Arc::new(p));
         pid
     }
 
@@ -357,7 +360,7 @@ impl Machine {
         if suspended {
             p.state = ProcState::Suspended;
         }
-        self.procs.insert(pid, p);
+        self.procs.insert(pid, Arc::new(p));
         let inject = std::mem::take(&mut self.autoinject);
         for (api, hook) in &inject {
             self.install_hook(pid, *api, Arc::clone(hook));
@@ -425,24 +428,26 @@ impl Machine {
 
     /// A process by pid.
     pub fn process(&self, pid: Pid) -> Option<&Process> {
-        self.procs.get(&pid)
+        self.procs.get(&pid).map(|p| &**p)
     }
 
-    /// Mutable process access (used by the injection engine).
+    /// Mutable process access (used by the injection engine). The record
+    /// is copied here if a snapshot or sibling machine still shares it, so
+    /// read through [`Machine::process`] first when the write is
+    /// conditional.
     pub fn process_mut(&mut self, pid: Pid) -> Option<&mut Process> {
-        self.procs.get_mut(&pid)
+        self.procs.get_mut(&pid).map(Arc::make_mut)
     }
 
     /// The first live process with the given image name.
     pub fn find_process(&self, image: &str) -> Option<&Process> {
-        self.procs
-            .values()
+        self.processes()
             .find(|p| p.state != ProcState::Terminated && p.image.eq_ignore_ascii_case(image))
     }
 
     /// All process records (including terminated ones).
     pub fn processes(&self) -> impl Iterator<Item = &Process> {
-        self.procs.values()
+        self.procs.values().map(|p| &**p)
     }
 
     /// Installs an inline hook on `api` in process `pid`: the hook is
@@ -450,7 +455,7 @@ impl Machine {
     /// become a `JMP` — visible to anti-hook checks, exactly as in the
     /// paper's Figure 1.
     pub fn install_hook(&mut self, pid: Pid, api: Api, hook: Arc<dyn ApiHook>) {
-        if let Some(p) = self.procs.get_mut(&pid) {
+        if let Some(p) = self.process_mut(pid) {
             let hooks = Arc::make_mut(&mut p.hooks);
             let chain = hooks.entry(api).or_insert_with(|| Arc::new(Vec::new()));
             Arc::make_mut(chain).push(hook);
@@ -470,7 +475,7 @@ impl Machine {
     /// [`Machine::install_hook`] calls would. `HookInstalls` telemetry
     /// advances by the table's hook count either way.
     pub fn install_hook_table(&mut self, pid: Pid, table: &HookTable) {
-        let Some(p) = self.procs.get_mut(&pid) else { return };
+        let Some(p) = self.process_mut(pid) else { return };
         if p.hooks.is_empty() {
             p.hooks = Arc::clone(&table.hooks);
             p.prologues = Arc::clone(&table.prologues);
@@ -500,10 +505,11 @@ impl Machine {
     pub fn uninstall_hooks(&mut self, pid: Pid, api: Api, label: &str) -> usize {
         let Some(p) = self.procs.get_mut(&pid) else { return 0 };
         // Check before copying: an uninstall that removes nothing must not
-        // break the copy-on-write sharing of the hook table.
+        // break the copy-on-write sharing of the process or its hook table.
         if !p.hooks.get(&api).is_some_and(|c| c.iter().any(|h| h.label() == label)) {
             return 0;
         }
+        let p = Arc::make_mut(p);
         let hooks = Arc::make_mut(&mut p.hooks);
         let Some(chain_arc) = hooks.get_mut(&api) else { return 0 };
         let chain = Arc::make_mut(chain_arc);
@@ -560,7 +566,7 @@ impl Machine {
     pub fn resume(&mut self, pid: Pid) -> bool {
         match self.procs.get_mut(&pid) {
             Some(p) if p.state == ProcState::Suspended => {
-                p.state = ProcState::Running;
+                Arc::make_mut(p).state = ProcState::Running;
                 self.queue.push_back(pid);
                 true
             }
@@ -574,6 +580,7 @@ impl Machine {
         if p.state == ProcState::Terminated {
             return;
         }
+        let p = Arc::make_mut(p);
         p.state = ProcState::Terminated;
         p.exit_code = exit_code;
         let image = p.image.clone();
@@ -795,17 +802,7 @@ impl Machine {
                 m.finish_process(pid, code);
                 Value::Unit
             }
-            Api::ResumeThread => {
-                let target = args.u64(0) as Pid;
-                if let Some(p) = m.procs.get_mut(&target) {
-                    if p.state == ProcState::Suspended {
-                        p.state = ProcState::Running;
-                        m.queue.push_back(target);
-                        return Value::Bool(true);
-                    }
-                }
-                Value::Bool(false)
-            }
+            Api::ResumeThread => Value::Bool(m.resume(args.u64(0) as Pid)),
             Api::Sleep => {
                 let ms = args.u64(0);
                 m.sys.clock.advance(ms);
@@ -917,14 +914,13 @@ impl Machine {
                     m.record(pid, EventKind::ModuleQuery { name });
                     return Value::U64(0);
                 }
-                if let Some(p) = m.procs.get_mut(&pid) {
-                    if p.load_module(&name) {
-                        m.record(pid, EventKind::ImageLoad { pid, image: name });
-                    }
-                    Value::U64(0x1000_0000)
-                } else {
-                    Value::U64(0)
+                let Some(p) = m.procs.get_mut(&pid) else { return Value::U64(0) };
+                // a module already mapped leaves the process record shared
+                if !p.module_loaded(&name) {
+                    Arc::make_mut(p).modules.push(name.clone());
+                    m.record(pid, EventKind::ImageLoad { pid, image: name });
                 }
+                Value::U64(0x1000_0000)
             }
             Api::EnumModules => {
                 let list = m
@@ -1061,12 +1057,19 @@ impl Machine {
 /// event log, process table) costs milliseconds; a corpus sweep needs two
 /// fresh machines per sample. Capturing the built machine once and
 /// [`MachineSnapshot::instantiate`]-ing per run replaces ~2,100 full
-/// builds in the Figure 4 sweep with one build plus O(1) clones. The
-/// registry and filesystem keep the template's stores as a shared base and
-/// put each run's writes in a per-run delta, so a run that sets one value
-/// copies one key node, a delete leaves a tombstone, and dropping the run
-/// frees only its delta. The event log is never written at run time; a
-/// per-process hook table is copied only when a hook is installed into it.
+/// builds in the Figure 4 sweep with one build plus clones that copy no
+/// store, no process record and no network table. The registry and
+/// filesystem keep the template's stores as a shared base and put each
+/// run's writes in a per-run delta, so a run that sets one value copies
+/// one key node, a delete leaves a tombstone, and dropping the run
+/// frees only its delta. The event log is never written at run time.
+/// Process records and the network tables are shared with the template
+/// and copied on a run's first write to them: terminating, resuming,
+/// hooking or loading a module into a preset process copies that one
+/// record, and resolving a domain not yet cached copies the DNS cache.
+/// Writes that would change nothing (resuming a running process, loading
+/// a mapped module, removing hooks a process lacks) read first and copy
+/// nothing.
 ///
 /// ```
 /// use winsim::{Machine, MachineSnapshot, System};
@@ -1508,6 +1511,68 @@ mod tests {
         // ... and the template answers exactly as before the run
         assert_eq!(store_view(template), before);
         assert_eq!(before.1.as_deref(), Some("orig"));
+    }
+
+    /// Whether every process record and network table of `m`, and its DLL
+    /// registry, is the template's own allocation.
+    fn shares_everything(m: &Machine, template: &Machine) -> bool {
+        m.procs.len() == template.procs.len()
+            && m.procs.iter().all(|(pid, p)| Arc::ptr_eq(p, &template.procs[pid]))
+            && m.sys.network.shared_tables(&template.sys.network) == [true; 4]
+            && Arc::ptr_eq(&m.sys.dll_registry, &template.sys.dll_registry)
+    }
+
+    #[test]
+    fn instantiate_shares_every_process_and_network_table() {
+        for preset in [
+            crate::env::bare_metal_sandbox(),
+            crate::env::vm_sandbox(),
+            crate::env::end_user_machine(),
+        ] {
+            let snap = MachineSnapshot::capture(&preset);
+            assert!(shares_everything(&snap.instantiate(), &snap.template));
+        }
+    }
+
+    #[test]
+    fn a_run_copies_only_the_processes_it_writes() {
+        let snap = MachineSnapshot::capture(&crate::env::end_user_machine());
+        let (mut run, sibling) = (snap.instantiate(), snap.instantiate());
+        let explorer = run.explorer_pid();
+        // reads, and writes that find nothing to change, copy nothing
+        run.call_api(4, Api::ResumeThread, args![u64::from(explorer)]);
+        run.call_api(explorer, Api::LoadLibrary, args!["KERNEL32.dll"]);
+        run.call_api(explorer, Api::EnumProcesses, Args::none());
+        assert_eq!(run.uninstall_hooks(explorer, Api::IsDebuggerPresent, "hook"), 0);
+        assert!(shares_everything(&run, &snap.template));
+        // the run hooks one API in explorer.exe, then kills it
+        run.install_hook(
+            explorer,
+            Api::IsDebuggerPresent,
+            Arc::new(|c: &mut ApiCall<'_>| c.call_original()),
+        );
+        run.call_api(4, Api::TerminateProcess, args![u64::from(explorer)]);
+        let copied: Vec<Pid> = run
+            .procs
+            .iter()
+            .filter(|(pid, p)| !Arc::ptr_eq(p, &snap.template.procs[pid]))
+            .map(|(pid, _)| *pid)
+            .collect();
+        assert_eq!(copied, [explorer]);
+        assert_eq!(run.process(explorer).unwrap().state, ProcState::Terminated);
+        // the template and a sibling still see it running and unhooked
+        for m in [&snap.template, &sibling] {
+            let p = m.process(explorer).unwrap();
+            assert_eq!(p.state, ProcState::Running);
+            assert_eq!(p.hooked_api_count(), 0);
+            assert_eq!(p.api_prologue(Api::IsDebuggerPresent), crate::api::CLEAN_PROLOGUE);
+        }
+        assert!(shares_everything(&sibling, &snap.template));
+        // a first resolution copies the DNS cache and no other table
+        let v = run.call_api(4, Api::DnsQuery, args!["www.microsoft.com"]);
+        assert_eq!(v.as_str(), Some("93.184.216.34"));
+        let network = run.sys.network.shared_tables(&snap.template.sys.network);
+        assert_eq!(network, [true, true, false, true]);
     }
 
     #[test]

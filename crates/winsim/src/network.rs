@@ -9,6 +9,7 @@
 //! (Section V, Case II) is exercised entirely through this module.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// How the resolver treats domains that do not exist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,6 +33,12 @@ pub struct DnsCacheEntry {
 
 /// The network state of a machine.
 ///
+/// The preset-built tables (hosts, HTTP responders, reachable addresses,
+/// the DNS cache) are `Arc`-shared, so a machine snapshot clones them with
+/// refcount bumps; a write copies the table via [`Arc::make_mut`]. At run
+/// time only a resolution of a domain not yet cached writes, and it copies
+/// the cache alone.
+///
 /// ```
 /// use winsim::{Network, NxPolicy};
 /// let mut n = Network::new();
@@ -43,27 +50,27 @@ pub struct DnsCacheEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Network {
     /// Registered real domains and their addresses.
-    hosts: BTreeMap<String, [u8; 4]>,
+    hosts: Arc<BTreeMap<String, [u8; 4]>>,
     /// Hosts that answer HTTP with the given status code. A sinkholed
     /// address always answers `200` (sandbox proxies "mimic live
     /// communications").
-    http_hosts: BTreeMap<String, u16>,
+    http_hosts: Arc<BTreeMap<String, u16>>,
     /// Non-existent-domain policy.
     pub nx_policy: NxPolicy,
     /// The resolver cache, oldest first.
-    dns_cache: Vec<DnsCacheEntry>,
+    dns_cache: Arc<Vec<DnsCacheEntry>>,
     /// Addresses that accepted a TCP connection.
-    reachable: BTreeSet<[u8; 4]>,
+    reachable: Arc<BTreeSet<[u8; 4]>>,
 }
 
 impl Default for Network {
     fn default() -> Self {
         Network {
-            hosts: BTreeMap::new(),
-            http_hosts: BTreeMap::new(),
+            hosts: Arc::default(),
+            http_hosts: Arc::default(),
             nx_policy: NxPolicy::Fail,
-            dns_cache: Vec::new(),
-            reachable: BTreeSet::new(),
+            dns_cache: Arc::default(),
+            reachable: Arc::default(),
         }
     }
 }
@@ -80,19 +87,23 @@ impl Network {
 
     /// Registers a real, resolvable domain.
     pub fn add_host(&mut self, domain: &str, addr: [u8; 4]) {
-        self.hosts.insert(norm(domain), addr);
-        self.reachable.insert(addr);
+        Arc::make_mut(&mut self.hosts).insert(norm(domain), addr);
+        Arc::make_mut(&mut self.reachable).insert(addr);
     }
 
     /// Registers an HTTP responder for a domain with a status code.
     pub fn add_http_host(&mut self, domain: &str, status: u16) {
-        self.http_hosts.insert(norm(domain), status);
+        Arc::make_mut(&mut self.http_hosts).insert(norm(domain), status);
     }
 
     /// Resolves a domain under the current NX policy, updating the cache on
     /// success.
     pub fn resolve(&mut self, domain: &str) -> Option<[u8; 4]> {
-        let d = norm(domain);
+        self.resolve_normalized(norm(domain))
+    }
+
+    /// [`Network::resolve`] for an already normalised domain.
+    fn resolve_normalized(&mut self, d: String) -> Option<[u8; 4]> {
         let addr = match self.hosts.get(&d) {
             Some(a) => Some(*a),
             None => match self.nx_policy {
@@ -101,8 +112,9 @@ impl Network {
             },
         };
         if let Some(a) = addr {
+            // a cached domain leaves the cache shared
             if !self.dns_cache.iter().any(|e| e.domain == d) {
-                self.dns_cache.push(DnsCacheEntry { domain: d, addr: a });
+                Arc::make_mut(&mut self.dns_cache).push(DnsCacheEntry { domain: d, addr: a });
             }
         }
         addr
@@ -116,9 +128,10 @@ impl Network {
     /// * anything else: no response (`None`).
     pub fn http_get(&mut self, domain: &str) -> Option<u16> {
         let d = norm(domain);
-        let addr = self.resolve(&d)?;
-        if let Some(status) = self.http_hosts.get(&d) {
-            return Some(*status);
+        let registered = self.http_hosts.get(&d).copied();
+        let addr = self.resolve_normalized(d)?;
+        if registered.is_some() {
+            return registered;
         }
         match self.nx_policy {
             NxPolicy::Sinkhole(sink) if addr == sink => Some(200),
@@ -141,13 +154,26 @@ impl Network {
         &self.dns_cache
     }
 
+    /// Which tables two networks share, in field order: hosts, HTTP
+    /// responders, DNS cache, reachable addresses.
+    #[cfg(test)]
+    pub(crate) fn shared_tables(&self, other: &Network) -> [bool; 4] {
+        [
+            Arc::ptr_eq(&self.hosts, &other.hosts),
+            Arc::ptr_eq(&self.http_hosts, &other.http_hosts),
+            Arc::ptr_eq(&self.dns_cache, &other.dns_cache),
+            Arc::ptr_eq(&self.reachable, &other.reachable),
+        ]
+    }
+
     /// Pre-populates the DNS cache (machine presets model prior activity).
     pub fn seed_dns_cache<I>(&mut self, entries: I)
     where
         I: IntoIterator<Item = (String, [u8; 4])>,
     {
+        let cache = Arc::make_mut(&mut self.dns_cache);
         for (domain, addr) in entries {
-            self.dns_cache.push(DnsCacheEntry { domain: norm(&domain), addr });
+            cache.push(DnsCacheEntry { domain: norm(&domain), addr });
         }
     }
 }
@@ -185,7 +211,31 @@ mod tests {
         let mut n = Network::new();
         n.add_host("cdn.example.com", [1, 2, 3, 4]);
         n.add_http_host("cdn.example.com", 404);
-        assert_eq!(n.http_get("cdn.example.com"), Some(404));
+        assert_eq!(n.http_get("CDN.Example.com."), Some(404));
+        assert_eq!(
+            n.dns_cache(),
+            [DnsCacheEntry { domain: "cdn.example.com".into(), addr: [1, 2, 3, 4] }]
+        );
+    }
+
+    #[test]
+    fn only_a_new_resolution_copies_a_shared_table() {
+        let mut template = Network::new();
+        template.add_host("a.example.com", [1, 1, 1, 1]);
+        template.add_http_host("a.example.com", 200);
+        template.resolve("a.example.com");
+        let mut run = template.clone();
+        assert_eq!(run.shared_tables(&template), [true; 4]);
+        // cached domains, failed lookups and connects leave every table shared
+        assert_eq!(run.http_get("A.example.com."), Some(200));
+        assert_eq!(run.resolve("nx.test"), None);
+        assert!(run.can_connect([1, 1, 1, 1]));
+        assert_eq!(run.shared_tables(&template), [true; 4]);
+        run.nx_policy = NxPolicy::Sinkhole([9, 9, 9, 9]);
+        assert_eq!(run.resolve("nx.test"), Some([9, 9, 9, 9]));
+        assert_eq!(run.shared_tables(&template), [true, true, false, true]);
+        assert_eq!(template.dns_cache().len(), 1);
+        assert_eq!(run.dns_cache().len(), 2);
     }
 
     #[test]

@@ -39,8 +39,11 @@ pub enum ProcState {
 ///
 /// Hook chains and patched prologues are `Arc`-shared: injecting the same
 /// DLL into a child shares the parent's table (two refcount bumps instead
-/// of ~40 allocations), and machine snapshots clone processes in O(1).
-/// Mutating installs copy-on-write via [`Arc::make_mut`].
+/// of ~40 allocations). Mutating installs copy-on-write via
+/// [`Arc::make_mut`]. A machine holds each record behind an `Arc` too, so a
+/// machine snapshot shares its processes with every run, and a run copies
+/// a record (its strings, module list and the two map handles) only when
+/// it first writes that process.
 #[derive(Clone)]
 pub struct Process {
     /// Process id.

@@ -1,6 +1,7 @@
 //! Aggregate system state: all subsystems plus identity configuration.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::clock::Clock;
 use crate::events::EventLog;
@@ -104,7 +105,9 @@ pub struct System {
     /// The virtual clock.
     pub clock: Clock,
     /// Dynamic libraries that `LoadLibrary` can find on this machine.
-    pub dll_registry: BTreeSet<String>,
+    /// `Arc`-shared with machine snapshots: only presets write it
+    /// ([`System::add_dll`]), so a reset clones no name.
+    pub dll_registry: Arc<BTreeSet<String>>,
     /// Named mutexes currently held.
     pub mutexes: BTreeSet<String>,
     /// Exported symbols resolvable via `GetProcAddress`, keyed as
@@ -129,14 +132,14 @@ impl System {
             "ole32.dll",
             "gdi32.dll",
         ] {
-            sys.dll_registry.insert(dll.to_owned());
+            sys.add_dll(dll);
         }
         sys
     }
 
     /// Registers a loadable DLL by name.
     pub fn add_dll(&mut self, name: &str) {
-        self.dll_registry.insert(name.to_ascii_lowercase());
+        Arc::make_mut(&mut self.dll_registry).insert(name.to_ascii_lowercase());
     }
 
     /// Whether `LoadLibrary(name)` would find the DLL.

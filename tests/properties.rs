@@ -4,12 +4,16 @@
 mod prop;
 
 use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 use prop::{check, Gen, DEFAULT_CASES};
 use scarecrow::Config;
 use tracer::json::{Json, JsonError, ToJson};
 use tracer::{Event, EventKind, RegOp, Trace, TraceDiff, Verdict};
-use winsim::{Args, DriveInfo, FileSystem, NxPolicy, RegValue, Registry, Value};
+use winsim::{
+    args, Api, ApiCall, Args, DriveInfo, FileSystem, Machine, MachineSnapshot, NxPolicy, Pid,
+    RegValue, Registry, Value,
+};
 
 // ---------------------------------------------------------------------------
 // generators
@@ -474,6 +478,112 @@ fn fs_overlay_matches_fresh_store() {
         }
         assert_eq!(fs_answers(&overlay), fs_answers(&fresh));
         assert_eq!(fs_answers(&kept), kept_before, "the clone changed");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// machine snapshots: the process table and network tables
+// ---------------------------------------------------------------------------
+
+const SNAP_APIS: &[Api] =
+    &[Api::IsDebuggerPresent, Api::GetTickCount, Api::ShellExecuteEx, Api::RegOpenKeyEx];
+const SNAP_IMAGES: &[&str] = &["sample.exe", "Sample.exe", "cmd.exe"];
+/// A closure hook's label, the Cuckoo monitor's, and one no hook has.
+const SNAP_LABELS: &[&str] = &["hook", "cuckoo-monitor", "scarecrow"];
+/// Loaded by default, loadable, and missing from the preset's registry.
+const SNAP_DLLS: &[&str] = &["KERNEL32.dll", "ws2_32.dll", "shell32.dll", "SbieDll.dll"];
+/// A preset host, the same host cased and dotted, and new domains.
+const SNAP_DOMAINS: &[&str] =
+    &["www.microsoft.com", "WWW.Microsoft.COM.", "cdn.adobe.com", "a.test", "B.test."];
+
+/// One write to a machine's process table or network. `usize` picks a
+/// process by index into the machine's current pid list.
+#[derive(Debug)]
+enum MachineWrite {
+    Spawn(&'static str, usize, bool),
+    Terminate(usize),
+    Resume(usize),
+    Hook(usize, Api),
+    Unhook(usize, Api, &'static str),
+    Load(usize, &'static str),
+    Resolve(&'static str),
+    HttpGet(&'static str),
+}
+
+fn machine_write(g: &mut Gen) -> MachineWrite {
+    let idx = g.index(0..24);
+    match g.index(0..8) {
+        0 => MachineWrite::Spawn(g.pick(SNAP_IMAGES), idx, g.bool()),
+        1 => MachineWrite::Terminate(idx),
+        2 => MachineWrite::Resume(idx),
+        3 => MachineWrite::Hook(idx, g.pick(SNAP_APIS)),
+        4 => MachineWrite::Unhook(idx, g.pick(SNAP_APIS), g.pick(SNAP_LABELS)),
+        5 => MachineWrite::Load(idx, g.pick(SNAP_DLLS)),
+        6 => MachineWrite::Resolve(g.pick(SNAP_DOMAINS)),
+        _ => MachineWrite::HttpGet(g.pick(SNAP_DOMAINS)),
+    }
+}
+
+fn apply_machine(m: &mut Machine, op: &MachineWrite) -> String {
+    let pids: Vec<Pid> = m.processes().map(|p| p.pid).collect();
+    let pid = |i: usize| pids[i % pids.len()];
+    match *op {
+        MachineWrite::Spawn(image, parent, suspended) => {
+            m.spawn(image, pid(parent), suspended).to_string()
+        }
+        MachineWrite::Terminate(i) => {
+            m.finish_process(pid(i), 1);
+            String::new()
+        }
+        MachineWrite::Resume(i) => m.resume(pid(i)).to_string(),
+        MachineWrite::Hook(i, api) => {
+            m.install_hook(pid(i), api, Arc::new(|c: &mut ApiCall<'_>| c.call_original()));
+            String::new()
+        }
+        MachineWrite::Unhook(i, api, label) => m.uninstall_hooks(pid(i), api, label).to_string(),
+        MachineWrite::Load(i, dll) => {
+            format!("{:?}", m.call_api(pid(i), Api::LoadLibrary, args![dll]))
+        }
+        MachineWrite::Resolve(d) => format!("{:?}", m.system_mut().network.resolve(d)),
+        MachineWrite::HttpGet(d) => format!("{:?}", m.system_mut().network.http_get(d)),
+    }
+}
+
+fn machine_answers(m: &Machine) -> Vec<String> {
+    let mut out: Vec<String> = m
+        .processes()
+        .map(|p| {
+            let prologues: Vec<u8> = SNAP_APIS.iter().map(|a| p.api_prologue(*a)[0]).collect();
+            format!(
+                "{} {} {:?} {} {:?} {} {prologues:?}",
+                p.pid,
+                p.image,
+                p.state,
+                p.exit_code,
+                p.modules,
+                p.hooked_api_count()
+            )
+        })
+        .collect();
+    out.extend(m.system().network.dns_cache().iter().map(|e| format!("{} {:?}", e.domain, e.addr)));
+    out.push(format!("{} trace events", m.trace().len()));
+    out
+}
+
+#[test]
+fn machine_snapshot_matches_fresh_build() {
+    let snap = MachineSnapshot::capture(&winsim::env::vm_sandbox());
+    let pristine = machine_answers(&snap.instantiate());
+    let ops = |g: &mut Gen| g.vec(1..24, machine_write);
+    check("machine_snapshot_matches_fresh_build", DEFAULT_CASES, ops, |run| {
+        let mut fresh = winsim::env::vm_sandbox();
+        let mut restored = snap.instantiate();
+        for op in &run {
+            assert_eq!(apply_machine(&mut restored, op), apply_machine(&mut fresh, op), "{op:?}");
+        }
+        assert_eq!(machine_answers(&restored), machine_answers(&fresh));
+        assert_eq!(restored.trace(), fresh.trace());
+        assert_eq!(machine_answers(&snap.instantiate()), pristine, "the snapshot changed");
     });
 }
 
