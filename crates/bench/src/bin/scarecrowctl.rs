@@ -116,7 +116,7 @@ fn cmd_hooks() {
 fn rule_status(rule: &dyn DeceptionRule, config: &Config) -> &'static str {
     if !config.rule_enabled(rule.name()) {
         "disabled" // unregistered via Config::rule_overrides
-    } else if rule.gate(config) {
+    } else if rule.gate().is_open(config) {
         "active"
     } else {
         "gated-off" // registered (hooks stay patched) but never answers
@@ -124,8 +124,8 @@ fn rule_status(rule: &dyn DeceptionRule, config: &Config) -> &'static str {
 }
 
 /// The `scarecrow.rules.v1` document: every rule with its status under
-/// `config`, then the hook list the registered rules derive.
-fn rules_json(config: &Config, set: &RuleSet) -> Json {
+/// the set's configuration, then the hook list the registered rules derive.
+fn rules_json(set: &RuleSet) -> Json {
     let rules = all_rules().iter().map(|rule| {
         let apis = rule.apis().iter().map(|(api, tier)| {
             Json::object([("api", api.name().to_json()), ("tier", tier.label().to_json())])
@@ -133,8 +133,8 @@ fn rules_json(config: &Config, set: &RuleSet) -> Json {
         Json::object([
             ("name", rule.name().to_json()),
             ("category", Json::Str(rule.category().to_string())),
-            ("gate", rule.gate_flag().to_json()),
-            ("status", rule_status(*rule, config).to_json()),
+            ("gate", rule.gate().name().to_json()),
+            ("status", rule_status(*rule, set.config()).to_json()),
             ("apis", Json::Array(apis.collect())),
         ])
     });
@@ -157,8 +157,8 @@ fn cmd_rules(config_path: Option<&str>, json: bool) {
         },
         None => Config::default(),
     };
-    let set = RuleSet::build(&config);
-    let rendered = rules_json(&config, &set).pretty();
+    let set = RuleSet::build(config);
+    let rendered = rules_json(&set).pretty();
     if json {
         println!("{rendered}");
     } else {
@@ -175,8 +175,8 @@ fn cmd_rules(config_path: Option<&str>, json: bool) {
                 "  {:<19} {:<10} gate={:<18} {:<9} {}",
                 rule.name(),
                 rule.category().to_string(),
-                rule.gate_flag(),
-                rule_status(*rule, &config),
+                rule.gate().name(),
+                rule_status(*rule, set.config()),
                 apis.join(" ")
             );
         }

@@ -71,8 +71,8 @@ impl ProtectedRun {
 /// ```
 pub struct Scarecrow {
     state: Arc<EngineState>,
-    /// The engine's telemetry recorder, attached to every machine it
-    /// protects that carries none.
+    /// The engine's telemetry recorder, for the machine's owner to attach
+    /// (`Machine::set_telemetry`); the engine never attaches it itself.
     telemetry: Option<Arc<Telemetry>>,
     /// The injector for the current configuration, built with the engine
     /// and rebuilt by [`Scarecrow::update_config`]. It lives here, not in
@@ -154,22 +154,19 @@ impl ScarecrowBuilder {
     }
 }
 
-/// A fresh `scarecrow.dll` image whose hooks share `state`.
-fn dll_image(state: &Arc<EngineState>) -> DllImage {
+/// An injector of a fresh `scarecrow.dll` image for the state's current
+/// rule set: one hook sharing `state` per hooked API, following children
+/// unless `follow_children` is off.
+fn build_injector(state: &Arc<EngineState>) -> Injector {
+    let rules = state.rule_set();
     let mut dll = DllImage::new(DLL_NAME);
-    for &api in state.rule_set().hooked_apis() {
+    for &api in rules.hooked_apis() {
         dll.hook(api, Arc::new(DeceptionHook::new(Arc::clone(state))));
     }
-    dll
-}
-
-/// An injector of [`dll_image`] for the state's current configuration;
-/// it follows children unless `follow_children` is off.
-fn build_injector(state: &Arc<EngineState>) -> Injector {
-    if state.config().follow_children {
-        Injector::new(dll_image(state))
+    if rules.config().follow_children {
+        Injector::new(dll)
     } else {
-        Injector::without_follow(dll_image(state))
+        Injector::without_follow(dll)
     }
 }
 
@@ -200,8 +197,8 @@ impl Scarecrow {
     }
 
     /// A worker engine for a parallel sweep: same configuration, the
-    /// *same shared* database `Arc`, its own configuration and rule locks,
-    /// and its own telemetry recorder (so worker snapshots merge without
+    /// *same shared* database `Arc`, its own rule-set lock, and its own
+    /// telemetry recorder (so worker snapshots merge without
     /// contention). The engine carries no flight-recorder setting: the
     /// worker's harness arms its own recorder.
     pub fn worker(&self) -> Scarecrow {
@@ -211,7 +208,10 @@ impl Scarecrow {
             .build()
     }
 
-    /// The engine's telemetry recorder, when collection is enabled.
+    /// The engine's telemetry recorder, when collection is enabled. It
+    /// counts only on machines their owner attached it to
+    /// (`Machine::set_telemetry`), as `harness::Cluster` does for every
+    /// machine it runs.
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
     }
@@ -228,9 +228,9 @@ impl Scarecrow {
 
     /// Dynamically reconfigures the engine — the Section III-B IPC path:
     /// every already injected DLL observes the change on its next
-    /// intercepted call, without re-injection. The rule set is rebuilt
-    /// from the new configuration in the same swap, and right after it the
-    /// injector that later [`Scarecrow::run_protected`] and
+    /// intercepted call, without re-injection. The configuration and the
+    /// rule set built from it are swapped in together, and right after
+    /// them the injector that later [`Scarecrow::run_protected`] and
     /// [`Scarecrow::protect_process`] calls inject with.
     pub fn update_config<F: FnOnce(&mut Config)>(&self, f: F) {
         let mut cfg = self.state.config().as_ref().clone();
@@ -271,20 +271,11 @@ impl Scarecrow {
 
     /// Installs the engine into an *already running* process — the
     /// "on-demand service" deployment for processes not started by the
-    /// controller. The engine's telemetry recorder is attached when the
-    /// machine carries none; the decisions land in the machine's
-    /// [`winsim::DeceptionRecord`].
+    /// controller. The decisions land in the machine's
+    /// [`winsim::DeceptionRecord`], and in whatever telemetry recorder the
+    /// machine's owner attached.
     pub fn protect_process(&self, machine: &mut Machine, pid: Pid) {
-        self.attach_telemetry(machine);
         self.current_injector().inject(machine, pid);
-    }
-
-    /// Attaches the engine's telemetry recorder to a machine that carries
-    /// none.
-    fn attach_telemetry(&self, machine: &mut Machine) {
-        if machine.telemetry().is_none() {
-            machine.set_telemetry(self.telemetry.clone());
-        }
     }
 
     /// The injector built for the current configuration.
@@ -295,8 +286,8 @@ impl Scarecrow {
     /// Runs one sample under full protection: clear the machine's deception
     /// record, start a controller process, launch the sample as its child
     /// with `scarecrow.dll` injected, run to completion, and take the trace
-    /// and the record's triggers. A flight recorder already armed on the
-    /// machine observes the run; the engine never arms one itself.
+    /// and the record's triggers. A telemetry or flight recorder already on
+    /// the machine observes the run; the engine never attaches either.
     ///
     /// # Errors
     ///
@@ -311,7 +302,6 @@ impl Scarecrow {
         // scoped to this run, whatever the machine did before.
         machine.take_deception();
         machine.take_trace();
-        self.attach_telemetry(machine);
         let controller = machine.add_system_process(CONTROLLER_IMAGE);
         machine.set_trace_root(image);
         let pid = self.current_injector().launch_injected(machine, image, controller)?;

@@ -6,9 +6,9 @@
 //! to the caller if any resources in SCARECROW deceptive execution
 //! environment are queried" (Section III-B). The per-API behavior lives
 //! in the declarative rule registry ([`crate::rules`]); this module owns
-//! the per-configuration data the rules consult and the one dispatch entry
-//! point. Everything one run changes — its decisions, spawn counts and
-//! committed profile — lives on the machine that runs it
+//! the data the rules consult and the one dispatch entry point.
+//! Everything one run changes — its decisions, spawn counts and committed
+//! profile — lives on the machine that runs it
 //! ([`winsim::DeceptionRecord`]).
 
 use std::collections::HashMap;
@@ -23,36 +23,28 @@ use crate::profiles::Profile;
 use crate::resources::ResourceDb;
 use crate::rules::{Live, RuleSet};
 
-/// Per-configuration data shared by the controller and every injected DLL
-/// instance; it holds nothing about any one run.
+/// The data shared by the controller and every injected DLL instance; it
+/// holds nothing about any one run.
 ///
 /// The configuration sits behind a lock because the controller "dynamically
 /// updates the hooks and configurations through IPC" (Section III-B):
 /// [`crate::Scarecrow::update_config`] takes effect for every already
-/// injected DLL on its next intercepted call. The rule set is rebuilt on
-/// every swap (see [`EngineState::swap_config`]) so the per-call path is a
-/// plain indexed lookup.
+/// injected DLL on its next intercepted call. The configuration and the
+/// rules it makes live are one [`RuleSet`] behind one lock, so a call sees
+/// either the old pair or the new one, never a mix.
 pub struct EngineState {
-    /// Engine configuration (runtime-updatable). The `Arc` lets the
-    /// dispatcher take a refcounted handle per call instead of cloning the
-    /// whole `Config`; updates swap in a freshly built `Arc`.
-    config: RwLock<Arc<Config>>,
+    /// The current configuration and its rules (runtime-updatable). The
+    /// dispatcher takes one refcounted handle per call; updates swap in a
+    /// freshly built set.
+    rules: RwLock<Arc<RuleSet>>,
     /// Faked wear-and-tear values (Table III).
     pub wear: WearTearFakes,
     /// The deceptive resource database.
     pub db: Arc<ResourceDb>,
-    /// The rule set derived from the current configuration.
-    rules: RwLock<Arc<RuleSet>>,
     /// Normalized well-known worn registry key → (subkey fake, value
     /// fake), precomputed once so the wear-and-tear rule does not
     /// re-lowercase and re-trim every candidate key per call.
     wear_reg: HashMap<String, WearCounts>,
-    /// Deceptive process names with their profiles, precomputed in db
-    /// iteration order — the db is immutable after construction, so the
-    /// enumeration rules need not re-collect it per call.
-    proc_list: Vec<(String, Profile)>,
-    /// Deceptive DLL names with their profiles, precomputed likewise.
-    dll_list: Vec<(String, Profile)>,
 }
 
 impl std::fmt::Debug for EngineState {
@@ -91,39 +83,26 @@ fn wear_reg_map(w: &WearTearFakes) -> HashMap<String, WearCounts> {
 impl EngineState {
     /// Creates engine state around a database.
     pub fn new(config: Config, db: Arc<ResourceDb>) -> Self {
-        let proc_list =
-            db.process_names().filter_map(|n| db.process(n).map(|p| (n.to_owned(), p))).collect();
-        let dll_list =
-            db.dll_names().filter_map(|n| db.dll(n).map(|p| (n.to_owned(), p))).collect();
         let wear = WearTearFakes::default();
         let wear_reg = wear_reg_map(&wear);
-        let rules = RwLock::new(Arc::new(RuleSet::build(&config)));
-        EngineState {
-            config: RwLock::new(Arc::new(config)),
-            wear,
-            db,
-            rules,
-            wear_reg,
-            proc_list,
-            dll_list,
-        }
+        let rules = RwLock::new(Arc::new(RuleSet::build(config)));
+        EngineState { rules, wear, db, wear_reg }
     }
 
-    /// Swaps in a new configuration and rebuilds the rule set from it —
+    /// Swaps in a new configuration with the rule set built from it —
     /// the one place [`RuleSet::build`] runs after construction, so the
     /// per-call dispatch path never derives anything.
     pub fn swap_config(&self, config: Config) {
-        let rules = Arc::new(RuleSet::build(&config));
-        *self.config.write().expect(POISONED) = Arc::new(config);
+        let rules = Arc::new(RuleSet::build(config));
         *self.rules.write().expect(POISONED) = rules;
     }
 
     /// The current configuration.
     pub fn config(&self) -> Arc<Config> {
-        Arc::clone(&*self.config.read().expect(POISONED))
+        Arc::clone(self.rule_set().config())
     }
 
-    /// The rule set derived from the current configuration.
+    /// The current configuration's rule set.
     pub fn rule_set(&self) -> Arc<RuleSet> {
         Arc::clone(&*self.rules.read().expect(POISONED))
     }
@@ -139,16 +118,6 @@ impl EngineState {
             "values" => values.or(subkeys),
             _ => subkeys.or(values),
         }
-    }
-
-    /// The precomputed deceptive process list (db iteration order).
-    pub(crate) fn proc_list(&self) -> &[(String, Profile)] {
-        &self.proc_list
-    }
-
-    /// The precomputed deceptive DLL list (db iteration order).
-    pub(crate) fn dll_list(&self) -> &[(String, Profile)] {
-        &self.dll_list
     }
 
     /// Deceptive files matching a `prefix*suffix` glob, of `live`
@@ -189,9 +158,7 @@ impl ApiHook for DeceptionHook {
     fn invoke(&self, call: &mut ApiCall<'_>) -> Value {
         let pid = call.pid;
         call.machine().flight_begin(SpanKind::Handler, self.label(), pid);
-        let cfg = self.state.config();
-        let rules = self.state.rule_set();
-        let value = rules.dispatch(&self.state, &cfg, call);
+        let value = self.state.rule_set().dispatch(&self.state, call);
         call.machine().flight_end();
         value
     }
@@ -218,7 +185,7 @@ mod tests {
     fn hooked_machine(state: &Arc<EngineState>) -> (Machine, Pid) {
         let mut m = Machine::new(System::new());
         let pid = m.add_system_process("sample.exe");
-        for api in RuleSet::build(&Config::default()).hooked_apis() {
+        for api in RuleSet::build(Config::default()).hooked_apis() {
             m.install_hook(pid, *api, Arc::new(DeceptionHook::new(Arc::clone(state))));
         }
         (m, pid)

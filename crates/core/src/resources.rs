@@ -109,10 +109,13 @@ pub struct ResourceStats {
 pub struct ResourceDb {
     files: HashMap<String, Profile>,
     devices: HashMap<String, Profile>,
+    /// Deceptive processes in first-added order; `process_index` maps each
+    /// lower-cased name to its entry, so a profile is stored once.
     processes: Vec<(String, Profile)>,
-    process_index: HashMap<String, Profile>,
+    process_index: HashMap<String, usize>,
+    /// Deceptive DLLs, stored like the processes.
     dlls: Vec<(String, Profile)>,
-    dll_index: HashMap<String, Profile>,
+    dll_index: HashMap<String, usize>,
     windows: HashMap<String, Profile>,
     reg_keys: HashMap<String, Profile>,
     reg_values: HashMap<(String, String), (String, Profile)>,
@@ -121,6 +124,30 @@ pub struct ResourceDb {
 
 fn norm_path(p: &str) -> String {
     p.replace('/', "\\").trim_end_matches('\\').to_ascii_lowercase()
+}
+
+/// Adds `name` to an ordered list with a case-insensitive index, or
+/// updates the profile of the entry it already names.
+fn upsert(
+    list: &mut Vec<(String, Profile)>,
+    index: &mut HashMap<String, usize>,
+    name: &str,
+    profile: Profile,
+) {
+    let i = *index.entry(name.to_ascii_lowercase()).or_insert_with(|| {
+        list.push((name.to_owned(), profile));
+        list.len() - 1
+    });
+    list[i].1 = profile;
+}
+
+/// The profile of `name` in a list built by [`upsert`].
+fn lookup(
+    list: &[(String, Profile)],
+    index: &HashMap<String, usize>,
+    name: &str,
+) -> Option<Profile> {
+    index.get(&name.to_ascii_lowercase()).map(|&i| list[i].1)
 }
 
 impl ResourceDb {
@@ -141,18 +168,17 @@ impl ResourceDb {
         self.devices.insert(name.to_ascii_lowercase(), profile);
     }
 
-    /// Adds a deceptive process name.
+    /// Adds a deceptive process name. Re-adding a name (in any casing)
+    /// keeps its first spelling and list position but takes the new
+    /// profile.
     pub fn add_process(&mut self, image: &str, profile: Profile) {
-        if self.process_index.insert(image.to_ascii_lowercase(), profile).is_none() {
-            self.processes.push((image.to_owned(), profile));
-        }
+        upsert(&mut self.processes, &mut self.process_index, image, profile);
     }
 
-    /// Adds a deceptive DLL name.
+    /// Adds a deceptive DLL name, re-adds resolved like
+    /// [`ResourceDb::add_process`].
     pub fn add_dll(&mut self, name: &str, profile: Profile) {
-        if self.dll_index.insert(name.to_ascii_lowercase(), profile).is_none() {
-            self.dlls.push((name.to_owned(), profile));
-        }
+        upsert(&mut self.dlls, &mut self.dll_index, name, profile);
     }
 
     /// Adds a deceptive window class.
@@ -204,22 +230,23 @@ impl ResourceDb {
 
     /// Matches a process image name.
     pub fn process(&self, image: &str) -> Option<Profile> {
-        self.process_index.get(&image.to_ascii_lowercase()).copied()
+        lookup(&self.processes, &self.process_index, image)
     }
 
-    /// All deceptive process names (merged into process enumerations).
-    pub fn process_names(&self) -> impl Iterator<Item = &str> {
-        self.processes.iter().map(|(n, _)| n.as_str())
+    /// Every deceptive process with its profile, in first-added order
+    /// (merged into process enumerations).
+    pub fn processes(&self) -> &[(String, Profile)] {
+        &self.processes
     }
 
     /// Matches a DLL name.
     pub fn dll(&self, name: &str) -> Option<Profile> {
-        self.dll_index.get(&name.to_ascii_lowercase()).copied()
+        lookup(&self.dlls, &self.dll_index, name)
     }
 
-    /// All deceptive DLL names.
-    pub fn dll_names(&self) -> impl Iterator<Item = &str> {
-        self.dlls.iter().map(|(n, _)| n.as_str())
+    /// Every deceptive DLL with its profile, in first-added order.
+    pub fn dlls(&self) -> &[(String, Profile)] {
+        &self.dlls
     }
 
     /// Matches a window class or title.
@@ -559,6 +586,24 @@ mod tests {
         assert_eq!(dbg.dll("SbieDll.dll"), None);
         assert!(dbg.stats().processes < db.stats().processes);
         assert_eq!(dbg.device("SICE"), Some(Profile::Debugger));
+    }
+
+    #[test]
+    fn re_adding_under_another_profile_keeps_every_view_in_agreement() {
+        let mut db = ResourceDb::new();
+        db.add_process("VBoxService.exe", Profile::VirtualBox);
+        db.add_process("vboxservice.exe", Profile::PublicSandbox);
+        db.add_dll("SbieDll.dll", Profile::Sandboxie);
+        db.add_dll("SBIEDLL.DLL", Profile::PublicSandbox);
+        assert_eq!(db.process("VBOXSERVICE.EXE"), Some(Profile::PublicSandbox));
+        assert_eq!(db.processes(), [("VBoxService.exe".to_owned(), Profile::PublicSandbox)]);
+        assert_eq!(db.dll("sbiedll.dll"), Some(Profile::PublicSandbox));
+        assert_eq!(db.dlls(), [("SbieDll.dll".to_owned(), Profile::PublicSandbox)]);
+        let kept = db.filter_profiles(&[Profile::PublicSandbox]);
+        assert_eq!(kept.process("VBoxService.exe"), Some(Profile::PublicSandbox));
+        assert_eq!(kept.dll("SbieDll.dll"), Some(Profile::PublicSandbox));
+        let dropped = db.filter_profiles(&[Profile::VirtualBox, Profile::Sandboxie]);
+        assert_eq!(dropped.stats().processes + dropped.stats().dlls, 0);
     }
 
     #[test]

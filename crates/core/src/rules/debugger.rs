@@ -7,7 +7,7 @@ use crate::engine::EngineState;
 use crate::profiles::Profile;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Outcome, Tier};
 
 /// Claims a debugger is always attached: the direct presence checks, the
 /// `DebugPort` process-information class, and (under the wear-and-tear
@@ -33,12 +33,8 @@ impl DeceptionRule for DebuggerRule {
         ]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "software"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.software
+    fn gate(&self) -> Gate {
+        Gate::SOFTWARE
     }
 
     fn respond(&self, _state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

@@ -7,7 +7,7 @@ use crate::engine::EngineState;
 use crate::profiles::Profile;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Outcome, Tier};
 
 /// Fakes the "deceptive timing discrepancies in default exception
 /// processing": a raised exception appears to round-trip through a
@@ -27,12 +27,8 @@ impl DeceptionRule for ExceptionTimingRule {
         &[(Api::RaiseException, Tier::Extra)]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "software"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.software
+    fn gate(&self) -> Gate {
+        Gate::SOFTWARE
     }
 
     fn respond(&self, _state: &EngineState, cfg: &Config, _call: &mut ApiCall<'_>) -> Outcome {

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Live, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Answers `FindWindow` probes (by class or title) for the planted
 /// analysis-tool windows — OllyDbg, Wireshark, Process Monitor and
@@ -26,12 +26,8 @@ impl DeceptionRule for GuiRule {
         &[(Api::FindWindow, Tier::Core)]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "software"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.software
+    fn gate(&self) -> Gate {
+        Gate::SOFTWARE
     }
 
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

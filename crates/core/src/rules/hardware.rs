@@ -7,7 +7,7 @@ use crate::engine::EngineState;
 use crate::profiles::Profile;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Outcome, Tier};
 
 /// Reports the sandbox-looking hardware of the paper: 1 core, ~1 GB of
 /// memory, a 50 GB disk, and a fresh-boot uptime. The uptime fake adds
@@ -32,12 +32,8 @@ impl DeceptionRule for HardwareRule {
         ]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "hardware"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.hardware
+    fn gate(&self) -> Gate {
+        Gate::HARDWARE
     }
 
     fn respond(&self, _state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

@@ -10,7 +10,7 @@ use crate::engine::EngineState;
 use crate::profiles::Profile;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Outcome, Tier};
 
 /// Deterministic md5-looking hex name for the fake sample path.
 pub(crate) fn hash_name(image: &str) -> String {
@@ -44,12 +44,8 @@ impl DeceptionRule for IdentityRule {
         ]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "software"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.software
+    fn gate(&self) -> Gate {
+        Gate::SOFTWARE
     }
 
     fn respond(&self, _state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

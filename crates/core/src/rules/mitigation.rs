@@ -7,7 +7,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{DeceptionRule, Outcome, Tier};
+use super::{DeceptionRule, Gate, Outcome, Tier};
 
 /// Counts self-spawns per image on every process creation; at the
 /// configured threshold it records the loop alarm in the run's trace (the
@@ -30,12 +30,8 @@ impl DeceptionRule for MitigationRule {
         &[(Api::CreateProcess, Tier::Core), (Api::ShellExecuteEx, Tier::Core)]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "always"
-    }
-
-    fn gate(&self, _cfg: &Config) -> bool {
-        true
+    fn gate(&self) -> Gate {
+        Gate::ALWAYS
     }
 
     fn respond(&self, _state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

@@ -11,8 +11,9 @@
 //!
 //! 1. Write a unit struct implementing [`DeceptionRule`] in a new
 //!    submodule: declare the hooked APIs with their [`Tier`]s, the
-//!    [`Config`] gate, and a [`respond`](DeceptionRule::respond) that
-//!    returns an [`Outcome`] — never record a decision yourself.
+//!    [`Gate`] it answers behind, and a
+//!    [`respond`](DeceptionRule::respond) that returns an [`Outcome`] —
+//!    never record a decision yourself.
 //! 2. Register it in [`all_rules`]. Order is load-bearing only where two
 //!    rules share an API (e.g. `NtQueryKey` consults wear-and-tear before
 //!    the software registry, like the original dispatcher).
@@ -20,6 +21,7 @@
 //!    the `scarecrowctl rules` listing, and the attribution plumbing.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use winsim::{Api, ApiCall, Value};
 
@@ -63,6 +65,42 @@ impl Tier {
             Tier::Extra => "extra",
             Tier::Wear => "wear",
         }
+    }
+}
+
+/// The [`Config`] switch a rule answers behind, declared once per rule:
+/// the switch's name (its key in the configuration's JSON, or `"always"`)
+/// and how to read it. A rule whose gate is closed keeps its hooks patched
+/// (anti-hook checks still see the `JMP`s) but never answers.
+#[derive(Clone, Copy)]
+pub struct Gate {
+    name: &'static str,
+    read: fn(&Config) -> bool,
+}
+
+impl Gate {
+    /// Open under every configuration.
+    pub const ALWAYS: Gate = Gate { name: "always", read: |_| true };
+    /// [`Config::software`].
+    pub const SOFTWARE: Gate = Gate { name: "software", read: |c| c.software };
+    /// [`Config::hardware`].
+    pub const HARDWARE: Gate = Gate { name: "hardware", read: |c| c.hardware };
+    /// [`Config::network`].
+    pub const NETWORK: Gate = Gate { name: "network", read: |c| c.network };
+    /// [`Config::weartear`].
+    pub const WEARTEAR: Gate = Gate { name: "weartear", read: |c| c.weartear };
+    /// [`Config::protect_processes`].
+    pub const PROTECT_PROCESSES: Gate =
+        Gate { name: "protect_processes", read: |c| c.protect_processes };
+
+    /// The switch's name (for listings).
+    pub fn name(self) -> &'static str {
+        self.name
+    }
+
+    /// Whether the gate is open under a configuration.
+    pub fn is_open(self, cfg: &Config) -> bool {
+        (self.read)(cfg)
     }
 }
 
@@ -119,13 +157,8 @@ pub trait DeceptionRule: Send + Sync {
     /// Every API this rule answers on, with the tier that hooks it.
     fn apis(&self) -> &'static [(Api, Tier)];
 
-    /// Name of the [`Config`] switch gating this rule (for listings).
-    fn gate_flag(&self) -> &'static str;
-
-    /// Whether the rule is live under a configuration. A gated-off rule
-    /// keeps its hooks patched (anti-hook checks still see the `JMP`s)
-    /// but never answers.
-    fn gate(&self, cfg: &Config) -> bool;
+    /// The [`Config`] switch the rule answers behind.
+    fn gate(&self) -> Gate;
 
     /// Inspects one intercepted call and decides an [`Outcome`].
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome;
@@ -179,14 +212,19 @@ pub fn all_rules() -> &'static [&'static dyn DeceptionRule] {
     &RULES
 }
 
-/// The rules enabled under one configuration, indexed for dispatch.
+/// One configuration and the rules it makes live, indexed for dispatch —
+/// the engine's whole per-configuration state.
 ///
-/// Built once per configuration swap (see `EngineState::swap_config`), so
-/// the per-call path is a vector lookup — no hashing, no allocation.
+/// Built once per configuration swap (see `EngineState::swap_config`):
+/// each rule's override and gate are resolved here, so the per-call path
+/// is a vector lookup with no check, hash or allocation.
 pub struct RuleSet {
+    config: Arc<Config>,
+    /// The registered rules (not switched off by an override).
     rules: Vec<&'static dyn DeceptionRule>,
-    /// `Api as usize` → indices into `rules`, dispatch order preserved.
-    index: Vec<Vec<usize>>,
+    /// `Api as usize` → the live rules (registered, gate open) declaring
+    /// it, in dispatch order.
+    index: Vec<Vec<&'static dyn DeceptionRule>>,
     hooked: Vec<Api>,
 }
 
@@ -201,25 +239,23 @@ impl std::fmt::Debug for RuleSet {
 
 impl RuleSet {
     /// Builds the rule set for a configuration: applies
-    /// [`Config::rule_overrides`], indexes `Api → rules`, and derives the
-    /// hooked-API set (core/extra tiers always, wear tier only under
-    /// [`Config::weartear`]) deduplicated in one pass.
-    pub fn build(cfg: &Config) -> RuleSet {
+    /// [`Config::rule_overrides`], indexes `Api → live rules`, and derives
+    /// the hooked-API set from every registered rule, gated-off ones
+    /// included (core/extra tiers always, wear tier only under
+    /// [`Config::weartear`]), deduplicated in one pass.
+    pub fn build(config: Config) -> RuleSet {
         let rules: Vec<&'static dyn DeceptionRule> =
-            all_rules().iter().copied().filter(|r| cfg.rule_enabled(r.name())).collect();
+            all_rules().iter().copied().filter(|r| config.rule_enabled(r.name())).collect();
         let mut index = vec![Vec::new(); Api::all().len()];
-        for (i, rule) in rules.iter().enumerate() {
+        for &rule in rules.iter().filter(|r| r.gate().is_open(&config)) {
             for &(api, _) in rule.apis() {
-                let slot: &mut Vec<usize> = &mut index[api as usize];
-                if !slot.contains(&i) {
-                    slot.push(i);
-                }
+                index[api as usize].push(rule);
             }
         }
         let mut hooked = Vec::new();
         let mut seen = HashSet::new();
         for tier in [Tier::Core, Tier::Extra, Tier::Wear] {
-            if tier == Tier::Wear && !cfg.weartear {
+            if tier == Tier::Wear && !config.weartear {
                 continue;
             }
             for rule in &rules {
@@ -230,41 +266,38 @@ impl RuleSet {
                 }
             }
         }
-        RuleSet { rules, index, hooked }
+        RuleSet { config: Arc::new(config), rules, index, hooked }
     }
 
-    /// The enabled rules, in dispatch order.
+    /// The configuration this set was built from.
+    pub fn config(&self) -> &Arc<Config> {
+        &self.config
+    }
+
+    /// The registered rules, gated-off ones included, in dispatch order.
     pub fn rules(&self) -> &[&'static dyn DeceptionRule] {
         &self.rules
     }
 
-    /// The enabled rules declaring `api`, in dispatch order.
+    /// The live rules declaring `api`, in dispatch order.
     pub fn rules_for(&self, api: Api) -> impl Iterator<Item = &'static dyn DeceptionRule> + '_ {
-        self.index.get(api as usize).into_iter().flatten().map(|&i| self.rules[i])
+        self.index.get(api as usize).into_iter().flatten().copied()
     }
 
-    /// The derived hooked-API set: every enabled rule's core/extra-tier
+    /// The derived hooked-API set: every registered rule's core/extra-tier
     /// APIs, plus wear-tier APIs when the extension is on. No duplicates.
     pub fn hooked_apis(&self) -> &[Api] {
         &self.hooked
     }
 
-    /// The one dispatch path: asks each rule registered for the call's
-    /// API (skipping gated-off rules), records the [`Deception`] of the
-    /// first non-[`Outcome::Pass`] answer on the run's machine — in
-    /// exclusive mode, a platform profile's first answer also commits the
-    /// run to it — and falls through to the original API when every rule
-    /// declines.
-    pub(crate) fn dispatch(
-        &self,
-        state: &EngineState,
-        cfg: &Config,
-        call: &mut ApiCall<'_>,
-    ) -> Value {
+    /// The one dispatch path: asks each live rule registered for the
+    /// call's API, records the [`Deception`] of the first
+    /// non-[`Outcome::Pass`] answer on the run's machine — in exclusive
+    /// mode, a platform profile's first answer also commits the run to it
+    /// — and falls through to the original API when every rule declines.
+    pub(crate) fn dispatch(&self, state: &EngineState, call: &mut ApiCall<'_>) -> Value {
+        let cfg = &*self.config;
         for rule in self.rules_for(call.api) {
-            if !rule.gate(cfg) {
-                continue;
-            }
             match rule.respond(state, cfg, call) {
                 Outcome::Pass => {}
                 Outcome::Done(value) => return value,
@@ -286,6 +319,7 @@ impl RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tracer::json::ToJson;
 
     #[test]
     fn rule_names_are_unique() {
@@ -307,10 +341,10 @@ mod tests {
 
     #[test]
     fn hooked_set_has_no_duplicates_and_respects_the_wear_gate() {
-        let on = RuleSet::build(&Config::default());
+        let on = RuleSet::build(Config::default());
         let unique: HashSet<_> = on.hooked_apis().iter().collect();
         assert_eq!(unique.len(), on.hooked_apis().len());
-        let off = RuleSet::build(&Config { weartear: false, ..Config::default() });
+        let off = RuleSet::build(Config { weartear: false, ..Config::default() });
         assert!(off.hooked_apis().len() < on.hooked_apis().len());
         assert!(!off.hooked_apis().contains(&Api::EvtNext));
         assert!(off.hooked_apis().contains(&Api::RegOpenKeyEx));
@@ -320,7 +354,7 @@ mod tests {
     fn overridden_rules_are_unregistered() {
         let mut cfg = Config::default();
         cfg.rule_overrides.insert("wear-and-tear".to_owned(), false);
-        let set = RuleSet::build(&cfg);
+        let set = RuleSet::build(cfg);
         assert!(set.rules().iter().all(|r| r.name() != "wear-and-tear"));
         // APIs only the wear-and-tear rule declares drop out of the hook
         // set; shared wear-tier APIs stay (the registry rule still
@@ -331,8 +365,28 @@ mod tests {
 
     #[test]
     fn wear_rule_precedes_registry_on_shared_apis() {
-        let set = RuleSet::build(&Config::default());
+        let set = RuleSet::build(Config::default());
         let order: Vec<&str> = set.rules_for(Api::NtQueryKey).map(|r| r.name()).collect();
         assert_eq!(order, ["wear-and-tear", "registry"]);
+    }
+
+    #[test]
+    fn a_closed_gate_keeps_the_hooks_but_drops_the_rule_from_dispatch() {
+        let cfg = Config { software: false, ..Config::default() };
+        let set = RuleSet::build(cfg.clone());
+        assert_eq!(set.rules_for(Api::IsDebuggerPresent).count(), 0);
+        assert!(set.hooked_apis().contains(&Api::IsDebuggerPresent));
+        assert!(set.rules().iter().any(|r| r.name() == "debugger"));
+        assert_eq!(set.config().as_ref(), &cfg);
+    }
+
+    #[test]
+    fn every_gate_names_always_or_a_boolean_config_key() {
+        let json = Config::default().to_json();
+        for rule in all_rules() {
+            let name = rule.gate().name();
+            let flag = json.get(name).and_then(|v| v.as_bool());
+            assert!(name == "always" || flag.is_some(), "rule {} gate {name}", rule.name());
+        }
     }
 }

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Live, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Makes the planted guest-addition and analysis DLLs loadable: handle
 /// lookups and loads succeed with a fake module handle, module
@@ -32,12 +32,8 @@ impl DeceptionRule for ModulesRule {
         ]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "software"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.software
+    fn gate(&self) -> Gate {
+        Gate::SOFTWARE
     }
 
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
@@ -57,7 +53,7 @@ impl DeceptionRule for ModulesRule {
                 let original = call.call_original();
                 let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
                 let mut first = None;
-                for (name, profile) in state.dll_list() {
+                for (name, profile) in state.db.dlls() {
                     if live.admits(*profile) {
                         merged.push(Value::from(name.as_str()));
                         first.get_or_insert(*profile);

@@ -8,7 +8,7 @@ use crate::engine::EngineState;
 use crate::profiles::Profile;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Outcome, Tier};
 
 /// Sinkholes non-existent domains and fakes HTTP 200 for unreachable
 /// URLs, so C2-liveness evasion checks see a responsive network. Real
@@ -28,12 +28,8 @@ impl DeceptionRule for NetworkRule {
         &[(Api::DnsQuery, Tier::Core), (Api::InternetOpenUrl, Tier::Core)]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "network"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.network
+    fn gate(&self) -> Gate {
+        Gate::NETWORK
     }
 
     fn respond(&self, _state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Live, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Makes the planted analysis-tool processes observable: `OpenProcess`
 /// hands out a fake handle, and every enumeration channel (EnumProcesses,
@@ -20,7 +20,7 @@ pub struct ProcessEnumRule;
 fn merge_processes(state: &EngineState, live: Live, original: &Value) -> Outcome {
     let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
     let mut first = None;
-    for (name, profile) in state.proc_list() {
+    for (name, profile) in state.db.processes() {
         if live.admits(*profile) {
             if !merged.iter().any(|v| v.as_str().is_some_and(|s| s.eq_ignore_ascii_case(name))) {
                 merged.push(Value::from(name.as_str()));
@@ -60,12 +60,8 @@ impl DeceptionRule for ProcessEnumRule {
         ]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "software"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.software
+    fn gate(&self) -> Gate {
+        Gate::SOFTWARE
     }
 
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
@@ -89,7 +85,7 @@ impl DeceptionRule for ProcessEnumRule {
                 let result = call.call_original();
                 if let Some(handle) = result.as_u64() {
                     let mut first = None;
-                    for (name, profile) in state.proc_list() {
+                    for (name, profile) in state.db.processes() {
                         if live.admits(*profile) {
                             call.machine().snapshot_append(handle, name);
                             first.get_or_insert(*profile);

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Live, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Protects the planted analysis-tool processes from being terminated by
 /// untrusted software: `TerminateProcess` against a deceptive process
@@ -26,12 +26,8 @@ impl DeceptionRule for ProtectionRule {
         &[(Api::TerminateProcess, Tier::Core)]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "protect_processes"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.protect_processes
+    fn gate(&self) -> Gate {
+        Gate::PROTECT_PROCESSES
     }
 
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

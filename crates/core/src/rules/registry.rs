@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Live, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Answers registry probes with the planted VM/sandbox/debugger keys and
 /// values from the resource database. Declares the Nt-level registry APIs
@@ -33,12 +33,8 @@ impl DeceptionRule for RegistryRule {
         ]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "software"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.software
+    fn gate(&self) -> Gate {
+        Gate::SOFTWARE
     }
 
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

@@ -9,7 +9,7 @@ use crate::engine::EngineState;
 use crate::profiles::Profile;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Outcome, Tier};
+use super::{Deception, DeceptionRule, Gate, Outcome, Tier};
 
 /// Makes a freshly provisioned machine look used: faked counts for the
 /// well-known worn registry keys, a populated DNS cache, and a system
@@ -34,12 +34,8 @@ impl DeceptionRule for WearTearRule {
         ]
     }
 
-    fn gate_flag(&self) -> &'static str {
-        "weartear"
-    }
-
-    fn gate(&self, cfg: &Config) -> bool {
-        cfg.weartear
+    fn gate(&self) -> Gate {
+        Gate::WEARTEAR
     }
 
     fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {

@@ -154,8 +154,6 @@ pub struct Telemetry {
     deception_hits: SlotTable,
     profile_hits: SlotTable,
     counters: SlotTable,
-    stage_us: SlotTable,
-    stage_count: SlotTable,
     stage_hist: Vec<AtomicHistogram>,
 }
 
@@ -179,15 +177,12 @@ impl Telemetry {
         let api_names: Vec<String> = api_names.into_iter().map(Into::into).collect();
         let profile_names: Vec<String> = profile_names.into_iter().map(Into::into).collect();
         let counter_names = Counter::ALL.iter().map(|c| c.name().to_owned()).collect();
-        let stage_names: Vec<String> = Stage::ALL.iter().map(|s| s.name().to_owned()).collect();
         Telemetry {
             api_calls: SlotTable::new(api_names.clone()),
             api_cost_ms: SlotTable::new(api_names.clone()),
             deception_hits: SlotTable::new(api_names),
             profile_hits: SlotTable::new(profile_names),
             counters: SlotTable::new(counter_names),
-            stage_us: SlotTable::new(stage_names.clone()),
-            stage_count: SlotTable::new(stage_names),
             stage_hist: Stage::ALL.iter().map(|_| AtomicHistogram::new()).collect(),
         }
     }
@@ -220,12 +215,10 @@ impl Telemetry {
         self.counters.add(Counter::DeceptionTriggers as usize, 1);
     }
 
-    /// Records one timed harness stage: total, count, and a log-bucketed
-    /// histogram of the per-recording distribution.
+    /// Records one timed harness stage into its log-bucketed histogram,
+    /// which also keeps the stage's exact total and count.
     pub fn record_stage(&self, stage: Stage, elapsed: std::time::Duration) {
         let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
-        self.stage_us.add(stage as usize, us);
-        self.stage_count.add(stage as usize, 1);
         self.stage_hist[stage as usize].record(us);
     }
 
@@ -236,8 +229,6 @@ impl Telemetry {
         self.deception_hits.reset();
         self.profile_hits.reset();
         self.counters.reset();
-        self.stage_us.reset();
-        self.stage_count.reset();
         for h in &self.stage_hist {
             h.reset();
         }
@@ -248,12 +239,9 @@ impl Telemetry {
         let stages = Stage::ALL
             .iter()
             .filter_map(|s| {
-                let count = self.stage_count.slots[*s as usize].load(Relaxed);
-                (count != 0).then(|| {
-                    let total_us = self.stage_us.slots[*s as usize].load(Relaxed);
-                    let hist_us = self.stage_hist[*s as usize].snapshot();
-                    (s.name().to_owned(), StageStat { total_us, count, hist_us })
-                })
+                let hist_us = self.stage_hist[*s as usize].snapshot();
+                let (total_us, count) = (hist_us.sum(), hist_us.count());
+                (count != 0).then(|| (s.name().to_owned(), StageStat { total_us, count, hist_us }))
             })
             .collect();
         TelemetrySnapshot {

@@ -21,13 +21,14 @@ pub struct Clock {
     now_ms: u64,
     /// Uptime the machine already had when the simulation started.
     pub boot_offset_ms: u64,
-    /// Virtual cost charged per API call.
-    pub api_call_cost_ms: u64,
 }
+
+/// Virtual cost charged per API call.
+pub(crate) const API_CALL_COST_MS: u64 = 1;
 
 impl Default for Clock {
     fn default() -> Self {
-        Clock { now_ms: 0, boot_offset_ms: 30 * 60 * 1000, api_call_cost_ms: 1 }
+        Clock { now_ms: 0, boot_offset_ms: 30 * 60 * 1000 }
     }
 }
 
@@ -54,7 +55,7 @@ impl Clock {
 
     /// Charges the cost of one API call.
     pub fn charge_api_call(&mut self) {
-        self.now_ms += self.api_call_cost_ms;
+        self.now_ms += API_CALL_COST_MS;
     }
 }
 
@@ -76,6 +77,6 @@ mod tests {
         let mut c = Clock::new();
         let before = c.now_ms();
         c.charge_api_call();
-        assert_eq!(c.now_ms(), before + c.api_call_cost_ms);
+        assert_eq!(c.now_ms(), before + API_CALL_COST_MS);
     }
 }

@@ -7,6 +7,7 @@ use tracer::flight::{FlightHist, FlightRecorder, SpanKind};
 use tracer::{Counter, Event, EventKind, RegOp, Telemetry, Trace};
 
 use crate::api::{Api, ApiCall, ApiHook, HookTable, HOOKED_PROLOGUE};
+use crate::clock::API_CALL_COST_MS;
 use crate::error::{NtStatus, SimError};
 use crate::process::{Peb, Pid, ProcState, Process};
 use crate::program::{ProcessCtx, Program};
@@ -530,7 +531,7 @@ impl Machine {
     pub fn call_api(&mut self, pid: Pid, api: Api, args: Args) -> Value {
         self.sys.clock.charge_api_call();
         if let Some(t) = &self.telemetry {
-            t.record_api(api as usize, self.sys.clock.api_call_cost_ms);
+            t.record_api(api as usize, API_CALL_COST_MS);
         }
         if let Some(f) = self.flight.as_mut() {
             f.begin_dispatch(api.name(), u64::from(pid), self.sys.clock.now_ms());

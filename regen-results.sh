@@ -8,20 +8,22 @@
 #                                   # workspace test suite, a perfbench build
 #                                   # (it calls the crates' public API), the
 #                                   # eight experiment binaries' stdout, the
-#                                   # seven JSON artifacts and the two golden
-#                                   # attribution sidecars byte-equal to
-#                                   # results/, and the telemetry / flight /
-#                                   # rules sidecars present with their schema
-#                                   # keys
+#                                   # seven JSON artifacts, the two golden
+#                                   # attribution sidecars and the golden
+#                                   # `scarecrowctl rules --json` listing
+#                                   # byte-equal to results/, and the
+#                                   # telemetry / flight / rules sidecars
+#                                   # present with their schema keys
 set -e
 cd "$(dirname "$0")"
 
 experiments="table1 table2 table3 figure4 case_studies benign_impact figure5_space ablation"
 # the experiments that also write a committed <name>.json
 json_artifacts="table1 table2 table3 figure4 case_studies benign_impact figure5_space"
-# attribution sidecars committed as goldens: Table I's chains, and
-# `scarecrowctl explain case:kasidet` (both on the virtual clock)
-golden_sidecars="table1_attribution scarecrowctl_attribution"
+# sidecars committed as goldens: Table I's attribution chains,
+# `scarecrowctl explain case:kasidet` (both on the virtual clock), and the
+# default configuration's rule listing, `scarecrowctl rules --json`
+golden_sidecars="table1_attribution scarecrowctl_attribution scarecrowctl_rules"
 
 require_sidecar() {
     if [ ! -s "$1" ]; then
@@ -128,6 +130,7 @@ for b in $experiments; do
     SCARECROW_RESULTS_DIR="$out_dir" ./target/release/$b | tee "results/$b.txt"
 done
 SCARECROW_RESULTS_DIR="$out_dir" ./target/release/scarecrowctl explain case:kasidet >/dev/null
+SCARECROW_RESULTS_DIR="$out_dir" ./target/release/scarecrowctl rules --json >/dev/null
 for b in $json_artifacts $golden_sidecars; do
     cp "$out_dir/$b.json" "results/$b.json"
 done

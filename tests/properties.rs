@@ -1015,7 +1015,7 @@ fn rule_registry_covers_exactly_the_prerefactor_hook_set() {
     check("rule_registry_covers_exactly_the_prerefactor_hook_set", DEFAULT_CASES, config, |cfg| {
         // the category gates keep hooks patched (presence-only ablation),
         // so only the weartear switch changes the hooked set
-        let set = scarecrow::rules::RuleSet::build(&cfg);
+        let set = scarecrow::rules::RuleSet::build(cfg.clone());
         let hooked = set.hooked_apis();
         let unique: HashSet<_> = hooked.iter().copied().collect();
         assert_eq!(unique.len(), hooked.len(), "duplicate hooked APIs");
@@ -1033,7 +1033,7 @@ fn disabling_one_rule_removes_only_its_exclusive_apis() {
         cfg.rule_overrides.insert(victim.name().to_owned(), false);
         let full = prerefactor_hooked(true);
         let reduced: HashSet<_> =
-            scarecrow::rules::RuleSet::build(&cfg).hooked_apis().iter().copied().collect();
+            scarecrow::rules::RuleSet::build(cfg).hooked_apis().iter().copied().collect();
         assert!(reduced.is_subset(&full));
         let declared_by_others: HashSet<_> = rules
             .iter()
