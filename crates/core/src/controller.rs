@@ -465,7 +465,7 @@ mod tests {
             self.image
         }
         fn run(&self, ctx: &mut ProcessCtx<'_>) {
-            let hooked = |api| hooklib::check_hook(&ctx.read_api_prologue(api));
+            let hooked = |api| winsim::check_hook(&ctx.read_api_prologue(api));
             let entry = (self.image, hooked(Api::FindWindow), hooked(Api::IsDebuggerPresent));
             self.log.lock().unwrap().push(entry);
             if let Some(child) = self.child {

@@ -16,7 +16,7 @@ use std::sync::{Arc, RwLock};
 
 use tracer::SpanKind;
 use winsim::env as wenv;
-use winsim::{ApiCall, ApiHook, Value};
+use winsim::{ApiCall, ApiHook, Glob, Value};
 
 use crate::config::{Config, WearTearFakes};
 use crate::profiles::Profile;
@@ -120,19 +120,12 @@ impl EngineState {
         }
     }
 
-    /// Deceptive files matching a `prefix*suffix` glob, of `live`
+    /// Deceptive files matching a `FindFirstFile` glob, of `live`
     /// profiles only.
-    pub(crate) fn db_files_matching(
-        &self,
-        prefix: &str,
-        suffix: &str,
-        live: Live,
-    ) -> Vec<(String, Profile)> {
+    pub(crate) fn db_files_matching(&self, glob: &Glob, live: Live) -> Vec<(String, Profile)> {
         self.db
             .files_iter()
-            .filter(|(path, profile)| {
-                live.admits(*profile) && path.starts_with(prefix) && path.ends_with(suffix)
-            })
+            .filter(|(path, profile)| live.admits(*profile) && glob.matches(path))
             .map(|(path, profile)| (path.to_owned(), profile))
             .collect()
     }
@@ -151,13 +144,15 @@ impl DeceptionHook {
 }
 
 impl ApiHook for DeceptionHook {
+    /// The injected DLL's name, so the trampoline's `hook_chain` span
+    /// names `scarecrow.dll`.
     fn label(&self) -> &str {
-        "scarecrow-engine"
+        crate::DLL_NAME
     }
 
     fn invoke(&self, call: &mut ApiCall<'_>) -> Value {
         let pid = call.pid;
-        call.machine().flight_begin(SpanKind::Handler, self.label(), pid);
+        call.machine().flight_begin(SpanKind::Handler, "scarecrow-engine", pid);
         let value = self.state.rule_set().dispatch(&self.state, call);
         call.machine().flight_end();
         value
@@ -371,7 +366,7 @@ mod tests {
         );
         assert!(take_triggers(&mut m).is_empty());
         // but the hooks are still *visible* to anti-hook checks
-        assert!(hooklib::check_hook(&m.process(pid).unwrap().api_prologue(Api::IsDebuggerPresent)));
+        assert!(winsim::check_hook(&m.process(pid).unwrap().api_prologue(Api::IsDebuggerPresent)));
     }
 
     #[test]

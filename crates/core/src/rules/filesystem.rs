@@ -1,7 +1,7 @@
 //! Deceptive files and device namespaces (Section II-B "Software
 //! resources").
 
-use winsim::{Api, ApiCall, NtStatus, Value};
+use winsim::{Api, ApiCall, Glob, NtStatus, Value};
 
 use crate::config::Config;
 use crate::engine::EngineState;
@@ -77,13 +77,9 @@ impl DeceptionRule for FilesystemRule {
                 let pattern = call.args.str(0).to_owned();
                 let original = call.call_original();
                 let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
-                let (prefix, suffix) = match pattern.to_ascii_lowercase().split_once('*') {
-                    Some((a, b)) => (a.to_owned(), b.to_owned()),
-                    None => (pattern.to_ascii_lowercase(), String::new()),
-                };
                 let mut hit = None;
                 let mut added = 0u64;
-                for (path, profile) in state.db_files_matching(&prefix, &suffix, live) {
+                for (path, profile) in state.db_files_matching(&Glob::new(&pattern), live) {
                     hit = Some(profile);
                     added += 1;
                     merged.push(Value::from(path.as_str()));

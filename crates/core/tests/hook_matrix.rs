@@ -25,7 +25,7 @@ fn every_hooked_api_is_patched_and_dispatchable() {
     let p = m.process(pid).unwrap();
     for api in engine.hooked_apis() {
         assert!(p.api_hooked(api), "{api} should be hooked");
-        assert!(hooklib::check_hook(&p.api_prologue(api)), "{api} prologue should be patched");
+        assert!(winsim::check_hook(&p.api_prologue(api)), "{api} prologue should be patched");
     }
     // and nothing else is
     let hooked: std::collections::HashSet<_> = engine.hooked_apis().into_iter().collect();

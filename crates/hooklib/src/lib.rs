@@ -10,11 +10,16 @@
 //!
 //! This crate provides exactly those mechanisms over `winsim`:
 //!
-//! * [`check_hook`] — the anti-hooking detection of Figure 1 (are the first
-//!   two bytes still `mov edi, edi`?);
 //! * [`DllImage`] — a named bundle of API hooks (a "DLL");
 //! * [`Injector`] — injects a [`DllImage`] into a process, launches targets
 //!   with injection, and transparently follows child processes.
+//!
+//! The substrate owns the rest of the hook layer: a process's hook chains
+//! are its only hook state (a prologue reads as a `JMP` exactly when its
+//! API's chain is non-empty, which [`winsim::check_hook`] — the anti-hooking
+//! detection of Figure 1 — reads back), and the trampoline
+//! ([`ApiCall::call_original`]) counts each hook it enters and opens its
+//! `hook_chain` flight span, named by the hook's own label.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,34 +27,15 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
-use winsim::{
-    Api, ApiCall, ApiHook, HookTable, Machine, Pid, SimError, Value, HOOKED_PROLOGUE, PROLOGUE_LEN,
-};
-
-/// The in-line hook detection of the paper's Figure 1: a function whose
-/// first two bytes are no longer the hot-patch `mov edi, edi` (`8B FF`) has
-/// been hooked.
-///
-/// ```
-/// use hooklib::check_hook;
-/// use winsim::{CLEAN_PROLOGUE, HOOKED_PROLOGUE};
-/// assert!(!check_hook(&CLEAN_PROLOGUE));
-/// assert!(check_hook(&HOOKED_PROLOGUE));
-/// ```
-pub fn check_hook(prologue: &[u8; PROLOGUE_LEN]) -> bool {
-    !(prologue[0] == 0x8b && prologue[1] == 0xff)
-}
+use winsim::{Api, ApiCall, ApiHook, HookTable, Machine, Pid, SimError, Value};
 
 /// A named bundle of hooks, modeling a hook DLL such as `scarecrow.dll`.
 ///
-/// The `label` identifies every hook the DLL installs, so they can be
-/// uninstalled as a unit; the `name` appears in the target process's module
-/// list (injection is visible to module enumeration, as with real
-/// EasyHook — the paper's deception works *because* analysis-like presence
-/// is detectable).
+/// The `name` appears in the target process's module list (injection is
+/// visible to module enumeration, as with real EasyHook — the paper's
+/// deception works *because* analysis-like presence is detectable).
 pub struct DllImage {
     name: String,
-    label: String,
     hooks: Vec<(Api, Arc<dyn ApiHook>)>,
 }
 
@@ -57,7 +43,6 @@ impl std::fmt::Debug for DllImage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DllImage")
             .field("name", &self.name)
-            .field("label", &self.label)
             .field("hooks", &self.hooks.len())
             .finish()
     }
@@ -65,10 +50,9 @@ impl std::fmt::Debug for DllImage {
 
 impl DllImage {
     /// Creates an empty DLL image. `name` is the module file name
-    /// (e.g. `scarecrow.dll`); it doubles as the hook label.
+    /// (e.g. `scarecrow.dll`).
     pub fn new(name: impl Into<String>) -> Self {
-        let name = name.into();
-        DllImage { label: name.clone(), name, hooks: Vec::new() }
+        DllImage { name: name.into(), hooks: Vec::new() }
     }
 
     /// Adds a hook on an API. Later additions sit *deeper* in the chain
@@ -82,49 +66,16 @@ impl DllImage {
     pub fn name(&self) -> &str {
         &self.name
     }
-
-    /// The label every installed hook carries.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// APIs hooked by this image.
-    pub fn hooked_apis(&self) -> impl Iterator<Item = Api> + '_ {
-        self.hooks.iter().map(|(api, _)| *api)
-    }
-}
-
-/// Wraps a hook so it reports the owning DLL's label (needed for
-/// label-based uninstall).
-struct LabeledHook {
-    label: String,
-    inner: Arc<dyn ApiHook>,
-}
-
-impl ApiHook for LabeledHook {
-    fn label(&self) -> &str {
-        &self.label
-    }
-    fn invoke(&self, call: &mut ApiCall<'_>) -> Value {
-        if let Some(t) = call.machine().telemetry() {
-            t.incr(tracer::Counter::HookHits);
-        }
-        let pid = call.pid;
-        call.machine().flight_begin(tracer::SpanKind::HookChain, &self.label, pid);
-        let value = self.inner.invoke(call);
-        call.machine().flight_end();
-        value
-    }
 }
 
 /// Injects a [`DllImage`] into processes and keeps it injected across
 /// process creation (the descendant-following mechanism of Section III-B).
 ///
-/// The injector prebuilds one [`HookTable`] — every labeled hook plus the
+/// The injector prebuilds one [`HookTable`] — the DLL's hooks plus the
 /// child-following hooks — at construction. Injection into a hook-free
-/// process then shares that table (two refcount bumps) instead of
-/// allocating ~30 wrapper hooks per process, which matters when a looping
-/// sample spawns hundreds of descendants.
+/// process then shares that table (one refcount bump) instead of
+/// allocating a chain per hooked API per process, which matters when a
+/// looping sample spawns hundreds of descendants.
 #[derive(Clone)]
 pub struct Injector {
     dll: Arc<DllImage>,
@@ -157,34 +108,11 @@ impl Injector {
         Injector { dll, follow_children: false, table }
     }
 
-    /// The injected DLL.
-    pub fn dll(&self) -> &DllImage {
-        &self.dll
-    }
-
     /// Injects the DLL into an existing process: maps the module and
     /// installs every hook. Idempotent per process (a second injection is
     /// skipped, as the module is already mapped).
     pub fn inject(&self, machine: &mut Machine, pid: Pid) {
         inject_table(machine, pid, &self.dll.name, &self.table);
-    }
-
-    /// Removes this DLL's hooks (and follow hooks) from a process and
-    /// unmaps the module. Returns the number of hooks removed.
-    pub fn eject(&self, machine: &mut Machine, pid: Pid) -> usize {
-        let mut removed = 0;
-        for api in Api::all() {
-            removed += machine.uninstall_hooks(pid, *api, &self.dll.label);
-            removed += machine.uninstall_hooks(pid, *api, FOLLOW_LABEL);
-        }
-        // read first: a process without the module stays shared with its
-        // snapshot
-        if machine.process(pid).is_some_and(|p| p.module_loaded(&self.dll.name)) {
-            if let Some(p) = machine.process_mut(pid) {
-                p.modules.retain(|m| !m.eq_ignore_ascii_case(&self.dll.name));
-            }
-        }
-        removed
     }
 
     /// Launches a registered program as a child of `parent`, suspended;
@@ -212,8 +140,6 @@ impl Injector {
     }
 }
 
-const FOLLOW_LABEL: &str = "injector-follow";
-
 /// Maps the module and installs the table's hooks. Idempotent per process.
 fn inject_table(machine: &mut Machine, pid: Pid, dll_name: &str, table: &HookTable) {
     let already = machine.process(pid).map(|p| p.module_loaded(dll_name)).unwrap_or(true);
@@ -227,7 +153,7 @@ fn inject_table(machine: &mut Machine, pid: Pid, dll_name: &str, table: &HookTab
     machine.install_hook_table(pid, table);
 }
 
-/// Builds the combined hook table: the DLL's labeled hooks first, then (if
+/// Builds the combined hook table: the DLL's hooks first, then (if
 /// following) the child-follow hooks on `CreateProcess`/`ShellExecuteEx` —
 /// the same chain order repeated `install_hook` calls would produce.
 ///
@@ -235,36 +161,24 @@ fn inject_table(machine: &mut Machine, pid: Pid, dll_name: &str, table: &HookTab
 /// so they hold the chain map through a [`Weak`] (via [`Arc::new_cyclic`])
 /// to avoid a reference cycle.
 fn build_table(dll: &Arc<DllImage>, follow: bool) -> HookTable {
-    let mut pro = HashMap::new();
-    for (api, _) in &dll.hooks {
-        pro.insert(*api, HOOKED_PROLOGUE);
-    }
-    if follow {
-        pro.insert(Api::CreateProcess, HOOKED_PROLOGUE);
-        pro.insert(Api::ShellExecuteEx, HOOKED_PROLOGUE);
-    }
-    let prologues = Arc::new(pro);
     let count = dll.hooks.len() + if follow { 2 } else { 0 };
     let hooks = Arc::new_cyclic(|weak: &Weak<HashMap<Api, winsim::HookChain>>| {
         let mut map: HashMap<Api, Vec<Arc<dyn ApiHook>>> = HashMap::new();
         for (api, hook) in &dll.hooks {
-            map.entry(*api)
-                .or_default()
-                .push(Arc::new(LabeledHook { label: dll.label.clone(), inner: Arc::clone(hook) }));
+            map.entry(*api).or_default().push(Arc::clone(hook));
         }
         if follow {
             for api in [Api::CreateProcess, Api::ShellExecuteEx] {
                 map.entry(api).or_default().push(Arc::new(FollowChildrenHook {
                     dll: Arc::clone(dll),
                     hooks: Weak::clone(weak),
-                    prologues: Arc::clone(&prologues),
                     count,
                 }));
             }
         }
         map.into_iter().map(|(api, chain)| (api, Arc::new(chain))).collect()
     });
-    HookTable { hooks, prologues, count }
+    HookTable { hooks, count }
 }
 
 /// The `CreateProcess`/`ShellExecuteEx` hook that implements descendant
@@ -276,40 +190,28 @@ struct FollowChildrenHook {
     /// Upgrading succeeds whenever the hook can be invoked — the calling
     /// process's own hook map keeps the table alive.
     hooks: Weak<HashMap<Api, winsim::HookChain>>,
-    prologues: Arc<HashMap<Api, [u8; PROLOGUE_LEN]>>,
     count: usize,
 }
 
 impl FollowChildrenHook {
     fn inject_child(&self, machine: &mut Machine, child: Pid) {
-        match self.hooks.upgrade() {
-            Some(hooks) => {
-                let table =
-                    HookTable { hooks, prologues: Arc::clone(&self.prologues), count: self.count };
-                inject_table(machine, child, &self.dll.name, &table);
-            }
-            None => {
-                // Every process sharing the table is gone (possible when
-                // this hook's chain was merged into a foreign map):
-                // rebuild the table rather than drop the child.
-                let table = build_table(&self.dll, true);
-                inject_table(machine, child, &self.dll.name, &table);
-            }
-        }
+        let table = match self.hooks.upgrade() {
+            Some(hooks) => HookTable { hooks, count: self.count },
+            // Every process sharing the table is gone (possible when this
+            // hook's chain was merged into a foreign map): rebuild the
+            // table rather than drop the child.
+            None => build_table(&self.dll, true),
+        };
+        inject_table(machine, child, &self.dll.name, &table);
     }
 }
 
 impl ApiHook for FollowChildrenHook {
     fn label(&self) -> &str {
-        FOLLOW_LABEL
+        "injector-follow"
     }
 
     fn invoke(&self, call: &mut ApiCall<'_>) -> Value {
-        if let Some(t) = call.machine().telemetry() {
-            t.incr(tracer::Counter::HookHits);
-        }
-        let pid = call.pid;
-        call.machine().flight_begin(tracer::SpanKind::HookChain, FOLLOW_LABEL, pid);
         let caller_wants_suspended = call.args.bool(1);
         call.args.set(1, Value::Bool(true)); // force CREATE_SUSPENDED
         let result = call.call_original();
@@ -320,7 +222,6 @@ impl ApiHook for FollowChildrenHook {
                 call.machine().resume(child);
             }
         }
-        call.machine().flight_end();
         result
     }
 }
@@ -328,11 +229,14 @@ impl ApiHook for FollowChildrenHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use winsim::{args, ProcessCtx, Program, System};
+    use winsim::{args, check_hook, ProcessCtx, Program, System};
 
     /// Returns `true` from `IsDebuggerPresent`, like scarecrow.dll.
     struct LieAboutDebugger;
     impl ApiHook for LieAboutDebugger {
+        fn label(&self) -> &str {
+            "lie-about-debugger"
+        }
         fn invoke(&self, _call: &mut ApiCall<'_>) -> Value {
             Value::Bool(true)
         }
@@ -444,32 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn eject_restores_clean_state() {
-        let mut m = Machine::new(System::new());
-        m.register_program(Arc::new(DebugCheckingPayload));
-        let pid = m.launch("payload.exe").unwrap();
-        let inj = Injector::new(test_dll());
-        inj.inject(&mut m, pid);
-        let removed = inj.eject(&mut m, pid);
-        assert!(removed >= 3); // 1 deception hook + 2 follow hooks
-        let p = m.process(pid).unwrap();
-        assert!(!p.module_loaded("scarecrow.dll"));
-        assert!(!check_hook(&p.api_prologue(Api::IsDebuggerPresent)));
-    }
-
-    #[test]
-    fn eject_from_an_uninjected_process_leaves_it_shared() {
-        let mut m = Machine::new(System::new());
-        m.register_program(Arc::new(DebugCheckingPayload));
-        let pid = m.launch("payload.exe").unwrap();
-        let snap = winsim::MachineSnapshot::capture(&m);
-        let (mut run, sibling) = (snap.instantiate(), snap.instantiate());
-        assert_eq!(Injector::new(test_dll()).eject(&mut run, pid), 0);
-        // a shared record has one address in every machine that holds it
-        assert!(std::ptr::eq(run.process(pid).unwrap(), sibling.process(pid).unwrap()));
-    }
-
-    #[test]
     fn hooks_emit_hook_chain_spans_when_flight_attached() {
         use tracer::flight::{FlightConfig, FlightRecorder, SpanKind};
         let mut m = Machine::new(System::new());
@@ -480,12 +358,45 @@ mod tests {
         m.run();
         let snap = m.take_flight().unwrap().snapshot();
         let chain: Vec<_> = snap.spans.iter().filter(|s| s.kind == SpanKind::HookChain).collect();
-        assert!(chain.iter().any(|s| s.name == "scarecrow.dll"), "labeled hook span recorded");
+        assert!(chain.iter().any(|s| s.name == "lie-about-debugger"), "hook's own label recorded");
         let parent_id = chain[0].parent.expect("hook span nests under a dispatch");
         let parent = snap.spans.iter().find(|s| s.id == parent_id).unwrap();
         assert_eq!(parent.kind, SpanKind::ApiDispatch);
         assert_eq!(parent.name, "IsDebuggerPresent");
         assert!(snap.hists.get("hook_chain_ns").is_some_and(|h| h.count() > 0));
+    }
+
+    #[test]
+    fn the_trampoline_observes_every_hook_in_a_mixed_chain() {
+        use tracer::flight::{FlightConfig, FlightRecorder, SpanKind};
+        use tracer::{Counter, Telemetry};
+        let mut m = Machine::new(System::new());
+        m.add_autoinject_hook(
+            Api::IsDebuggerPresent,
+            Arc::new(|c: &mut ApiCall<'_>| c.call_original()),
+        );
+        m.register_program(Arc::new(DebugCheckingPayload));
+        let pid = m.launch("payload.exe").unwrap();
+        Injector::new(test_dll()).inject(&mut m, pid);
+        let telemetry = Arc::new(Telemetry::new(Api::telemetry_slot_names(), ["VMware"]));
+        m.set_telemetry(Some(Arc::clone(&telemetry)));
+        m.set_flight(Some(FlightRecorder::new(FlightConfig::enabled())));
+        assert_eq!(
+            m.call_api(pid, Api::IsDebuggerPresent, winsim::Args::none()),
+            Value::Bool(true)
+        );
+        assert_eq!(telemetry.snapshot().counter(Counter::HookHits), 2);
+        let snap = m.take_flight().unwrap().snapshot();
+        let chain: Vec<_> = snap.spans.iter().filter(|s| s.kind == SpanKind::HookChain).collect();
+        let names: Vec<&str> = chain.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names.len(), 2);
+        assert!(names.contains(&"hook") && names.contains(&"lie-about-debugger"), "{names:?}");
+        // the DLL hook runs inside the autoinject hook's span
+        let (outer, inner) =
+            if chain[0].name == "hook" { (chain[0], chain[1]) } else { (chain[1], chain[0]) };
+        assert_eq!(inner.parent, Some(outer.id));
+        let dispatch = snap.spans.iter().find(|s| Some(s.id) == outer.parent).unwrap();
+        assert_eq!(dispatch.kind, SpanKind::ApiDispatch);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! ```text
 //! sample
 //! └── api_dispatch            (winsim::Machine::call_api)
-//!     └── hook_chain          (hooklib::LabeledHook::invoke)
+//!     └── hook_chain          (winsim::ApiCall::call_original)
 //!         └── handler         (core engine DeceptionHook)
 //!             └── deception_decision   (winsim::Machine::record_decision)
 //! ```
@@ -72,7 +72,7 @@ pub enum SpanKind {
     Sample,
     /// One API dispatch through the substrate (`Machine::call_api`).
     ApiDispatch,
-    /// Execution of an installed hook chain entry (hooklib).
+    /// Execution of an installed hook chain entry (the winsim trampoline).
     HookChain,
     /// A deception-engine handler deciding how to answer (core).
     Handler,

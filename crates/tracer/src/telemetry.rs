@@ -31,7 +31,8 @@ pub enum Counter {
     ApiCalls,
     /// Inline hooks installed (prologues patched).
     HookInstalls,
-    /// Intercepted calls that entered an installed hook.
+    /// Hooks entered by intercepted calls, one per hook the trampoline
+    /// enters (`winsim::ApiCall::call_original`).
     HookHits,
     /// Hooked calls that trampolined through to the original API.
     TrampolinePassthroughs,

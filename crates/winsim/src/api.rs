@@ -5,8 +5,10 @@
 //! the hot-patchable `mov edi, edi; push ebp; mov ebp, esp` sequence — and
 //! a chain of installed [`ApiHook`]s. Inline hooking overwrites the
 //! prologue with a `JMP` (exactly Figure 1 of the paper), which in-process
-//! code can detect by reading the bytes back. The hook chain then receives
-//! the call before (or instead of) the kernel's default implementation.
+//! code can detect by reading the bytes back ([`check_hook`]); the bytes
+//! are derived from the chain, so an API reads patched exactly when a hook
+//! is installed on it. The hook chain then receives the call before (or
+//! instead of) the kernel's default implementation.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,6 +26,19 @@ pub const CLEAN_PROLOGUE: [u8; PROLOGUE_LEN] = [0x8b, 0xff, 0x55, 0x8b, 0xec, 0x
 /// Prologue after an inline hook: `jmp rel32` (0xE9) into the hook,
 /// followed by padding the patcher leaves behind.
 pub const HOOKED_PROLOGUE: [u8; PROLOGUE_LEN] = [0xe9, 0xde, 0xc0, 0xad, 0x0b, 0x90, 0x90, 0x90];
+
+/// The in-line hook detection of the paper's Figure 1: a function whose
+/// first two bytes are no longer the hot-patch `mov edi, edi` (`8B FF`) has
+/// been hooked.
+///
+/// ```
+/// use winsim::{check_hook, CLEAN_PROLOGUE, HOOKED_PROLOGUE};
+/// assert!(!check_hook(&CLEAN_PROLOGUE));
+/// assert!(check_hook(&HOOKED_PROLOGUE));
+/// ```
+pub fn check_hook(prologue: &[u8; PROLOGUE_LEN]) -> bool {
+    !(prologue[0] == 0x8b && prologue[1] == 0xff)
+}
 
 /// The simulated Windows API surface.
 ///
@@ -263,7 +278,7 @@ impl std::fmt::Display for Api {
 /// implementation) and post-process its result — the same three options a
 /// real inline hook has.
 pub trait ApiHook: Send + Sync {
-    /// Short label used in diagnostics.
+    /// Short label naming the hook's `hook_chain` flight span.
     fn label(&self) -> &str {
         "hook"
     }
@@ -289,18 +304,16 @@ pub type HookChain = Arc<Vec<Arc<dyn ApiHook>>>;
 /// A shared per-API map of hook chains.
 pub type HookMap = Arc<HashMap<Api, HookChain>>;
 
-/// A prebuilt set of hook chains plus their patched prologues, installable
-/// into a process wholesale via `Machine::install_hook_table`.
+/// A prebuilt set of hook chains, installable into a process wholesale via
+/// `Machine::install_hook_table`.
 ///
-/// Both maps are behind `Arc`s: installing the table into a process that
-/// has no hooks yet is two refcount bumps, so injecting the same DLL into
+/// The map is behind an `Arc`: installing the table into a process that
+/// has no hooks yet is one refcount bump, so injecting the same DLL into
 /// every spawned child costs O(1) per child instead of O(hooks).
 #[derive(Clone)]
 pub struct HookTable {
     /// Per-API hook chains (innermost last), shared across processes.
     pub hooks: HookMap,
-    /// Patched prologues for every hooked API.
-    pub prologues: Arc<HashMap<Api, [u8; PROLOGUE_LEN]>>,
     /// Total installed hook count (for `HookInstalls` telemetry parity
     /// with one-at-a-time installation).
     pub count: usize,
@@ -337,13 +350,24 @@ impl<'m> ApiCall<'m> {
 
     /// Invokes the next hook in the chain, or the default implementation
     /// once the chain is exhausted — the trampoline a real inline hook
-    /// would jump through.
+    /// would jump through. It is also the one place a hook is observed:
+    /// each hook it enters counts a `HookHits` and runs inside a
+    /// `hook_chain` flight span named by the hook's label.
     pub fn call_original(&mut self) -> Value {
         if self.idx < self.chain_len() {
             let hook =
                 Arc::clone(&self.chain.as_ref().expect("chain_len > 0 implies chain")[self.idx]);
             self.idx += 1;
-            hook.invoke(self)
+            if let Some(t) = self.machine.telemetry() {
+                t.incr(tracer::Counter::HookHits);
+            }
+            // checked first so an unrecorded call skips the `label()` call
+            if self.machine.flight_active() {
+                self.machine.flight_begin(tracer::SpanKind::HookChain, hook.label(), self.pid);
+            }
+            let value = hook.invoke(self);
+            self.machine.flight_end();
+            value
         } else {
             if self.chain_len() > 0 {
                 if let Some(t) = self.machine.telemetry() {

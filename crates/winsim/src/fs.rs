@@ -201,9 +201,78 @@ impl FileSystem {
     }
 }
 
+/// A `FindFirstFile` wildcard pattern, matched ASCII case-insensitively
+/// with `/` read as `\`. Every `*` matches any run of characters, path
+/// separators included; the literal pieces between the stars must appear
+/// in order without overlapping, and a pattern without a `*` matches only
+/// itself.
+///
+/// ```
+/// use winsim::Glob;
+/// let docs = Glob::new(r"C:\Users\*Documents*");
+/// assert!(docs.matches(r"C:\Users\john\Documents\report.docx"));
+/// assert!(!docs.matches(r"C:\Users\john\Desktop\notes.txt"));
+/// assert!(!Glob::new("a*a").matches("a"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Glob {
+    /// The pattern split at each `*` (one piece more than there are
+    /// stars).
+    pieces: Vec<String>,
+}
+
+impl Glob {
+    /// Compiles a pattern.
+    pub fn new(pattern: &str) -> Self {
+        let pattern = pattern.replace('/', "\\");
+        Glob { pieces: pattern.split('*').map(str::to_owned).collect() }
+    }
+
+    /// Whether `path` matches the pattern.
+    pub fn matches(&self, path: &str) -> bool {
+        let (first, rest) = self.pieces.split_first().expect("split yields a piece");
+        let path = path.as_bytes();
+        if path.len() < first.len() || !path[..first.len()].eq_ignore_ascii_case(first.as_bytes()) {
+            return false;
+        }
+        let mut tail = &path[first.len()..];
+        let Some((last, middle)) = rest.split_last() else {
+            return tail.is_empty();
+        };
+        for piece in middle.iter().filter(|p| !p.is_empty()) {
+            let Some(at) =
+                tail.windows(piece.len()).position(|w| w.eq_ignore_ascii_case(piece.as_bytes()))
+            else {
+                return false;
+            };
+            tail = &tail[at + piece.len()..];
+        }
+        tail.len() >= last.len()
+            && tail[tail.len() - last.len()..].eq_ignore_ascii_case(last.as_bytes())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn glob_matches_every_star_without_overlap() {
+        let g = Glob::new(r"C:\Users\*Documents*");
+        assert!(g.matches(r"c:\users\john\DOCUMENTS\a.docx"));
+        assert!(g.matches(r"C:\Users\Documents"));
+        assert!(!g.matches(r"C:\Users\john\Desktop\a.docx"));
+        let g = Glob::new("a*b*c");
+        assert!(g.matches("abc") && g.matches("a-b-b-c") && g.matches("acbc"));
+        assert!(!g.matches("acb") && !g.matches("ab"));
+        // prefix and suffix may not share characters
+        assert!(!Glob::new("ab*ba").matches("aba"));
+        assert!(Glob::new("ab*ba").matches("abba"));
+        // no star: the whole path; empty pieces (`**`) match nothing extra
+        assert!(Glob::new(r"C:\a.sys").matches(r"c:\A.SYS"));
+        assert!(!Glob::new(r"C:\a.sys").matches(r"C:\a.sys.bak"));
+        assert!(Glob::new("**").matches("") && Glob::new("C:/x**").matches(r"C:\x\y"));
+    }
 
     #[test]
     fn drive_capacities() {

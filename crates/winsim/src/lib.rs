@@ -77,13 +77,13 @@ mod winapi;
 pub mod xrng;
 
 pub use api::{
-    Api, ApiCall, ApiHook, HookChain, HookMap, HookTable, CLEAN_PROLOGUE, HOOKED_PROLOGUE,
-    PROLOGUE_LEN,
+    check_hook, Api, ApiCall, ApiHook, HookChain, HookMap, HookTable, CLEAN_PROLOGUE,
+    HOOKED_PROLOGUE, PROLOGUE_LEN,
 };
 pub use clock::Clock;
 pub use error::{NtStatus, SimError};
 pub use events::{EventLog, SysEvent};
-pub use fs::{DriveInfo, FileNode, FileSystem};
+pub use fs::{DriveInfo, FileNode, FileSystem, Glob};
 pub use gui::{Window, WindowManager};
 pub use hardware::{Hardware, HvVendor, RdtscModel};
 pub use input::InputModel;

@@ -6,9 +6,10 @@ use std::sync::Arc;
 use tracer::flight::{FlightHist, FlightRecorder, SpanKind};
 use tracer::{Counter, Event, EventKind, RegOp, Telemetry, Trace};
 
-use crate::api::{Api, ApiCall, ApiHook, HookTable, HOOKED_PROLOGUE};
+use crate::api::{Api, ApiCall, ApiHook, HookTable};
 use crate::clock::API_CALL_COST_MS;
 use crate::error::{NtStatus, SimError};
+use crate::fs::Glob;
 use crate::process::{Peb, Pid, ProcState, Process};
 use crate::program::{ProcessCtx, Program};
 use crate::registry::RegValue;
@@ -452,15 +453,14 @@ impl Machine {
     }
 
     /// Installs an inline hook on `api` in process `pid`: the hook is
-    /// appended to the chain (outermost first) and the API's prologue bytes
-    /// become a `JMP` — visible to anti-hook checks, exactly as in the
+    /// appended to the chain (outermost first), so the API's prologue bytes
+    /// read as a `JMP` — visible to anti-hook checks, exactly as in the
     /// paper's Figure 1.
     pub fn install_hook(&mut self, pid: Pid, api: Api, hook: Arc<dyn ApiHook>) {
         if let Some(p) = self.process_mut(pid) {
             let hooks = Arc::make_mut(&mut p.hooks);
             let chain = hooks.entry(api).or_insert_with(|| Arc::new(Vec::new()));
             Arc::make_mut(chain).push(hook);
-            Arc::make_mut(&mut p.prologues).insert(api, HOOKED_PROLOGUE);
             if let Some(t) = &self.telemetry {
                 t.incr(Counter::HookInstalls);
             }
@@ -470,7 +470,7 @@ impl Machine {
     /// Installs a prebuilt [`HookTable`] into `pid` wholesale.
     ///
     /// When the process has no hooks yet (the common per-child injection
-    /// path) this *shares* the table's maps — two refcount bumps instead of
+    /// path) this *shares* the table's map — one refcount bump instead of
     /// one allocation per hook. Otherwise the table's chains are appended
     /// to the existing ones, in table iteration order, exactly as repeated
     /// [`Machine::install_hook`] calls would. `HookInstalls` telemetry
@@ -479,10 +479,8 @@ impl Machine {
         let Some(p) = self.process_mut(pid) else { return };
         if p.hooks.is_empty() {
             p.hooks = Arc::clone(&table.hooks);
-            p.prologues = Arc::clone(&table.prologues);
         } else {
             let hooks = Arc::make_mut(&mut p.hooks);
-            let prologues = Arc::make_mut(&mut p.prologues);
             for (api, chain) in table.hooks.iter() {
                 match hooks.entry(*api) {
                     std::collections::hash_map::Entry::Vacant(e) => {
@@ -492,36 +490,11 @@ impl Machine {
                         Arc::make_mut(e.get_mut()).extend(chain.iter().cloned());
                     }
                 }
-                prologues.insert(*api, HOOKED_PROLOGUE);
             }
         }
         if let Some(t) = &self.telemetry {
             t.add(Counter::HookInstalls, table.count as u64);
         }
-    }
-
-    /// Removes all hooks with the given label from `api` in `pid`,
-    /// restoring the clean prologue if the chain empties. Returns how many
-    /// hooks were removed.
-    pub fn uninstall_hooks(&mut self, pid: Pid, api: Api, label: &str) -> usize {
-        let Some(p) = self.procs.get_mut(&pid) else { return 0 };
-        // Check before copying: an uninstall that removes nothing must not
-        // break the copy-on-write sharing of the process or its hook table.
-        if !p.hooks.get(&api).is_some_and(|c| c.iter().any(|h| h.label() == label)) {
-            return 0;
-        }
-        let p = Arc::make_mut(p);
-        let hooks = Arc::make_mut(&mut p.hooks);
-        let Some(chain_arc) = hooks.get_mut(&api) else { return 0 };
-        let chain = Arc::make_mut(chain_arc);
-        let before = chain.len();
-        chain.retain(|h| h.label() != label);
-        let removed = before - chain.len();
-        if chain.is_empty() {
-            hooks.remove(&api);
-            Arc::make_mut(&mut p.prologues).remove(&api);
-        }
-        removed
     }
 
     /// Dispatches an API call from process `pid` through its hook chain.
@@ -761,8 +734,9 @@ impl Machine {
                 Value::Bool(ok)
             }
             Api::FindFirstFile => {
-                let pattern = args.str(0);
-                Value::List(glob_files(&m.sys, pattern))
+                let glob = Glob::new(args.str(0));
+                let paths = m.sys.fs.iter().filter(|f| glob.matches(&f.path));
+                Value::List(paths.map(|f| Value::from(f.path.as_str())).collect())
             }
             Api::GetDiskFreeSpaceEx => {
                 m.record(pid, EventKind::InfoQuery { what: "GetDiskFreeSpaceEx".to_owned() });
@@ -1138,24 +1112,6 @@ fn value_to_reg(v: Value) -> RegValue {
     }
 }
 
-/// Minimal `prefix*suffix` glob over file paths; the matching paths as
-/// string values.
-fn glob_files(sys: &System, pattern: &str) -> Vec<Value> {
-    let p = pattern.to_ascii_lowercase().replace('/', "\\");
-    let (prefix, suffix) = match p.split_once('*') {
-        Some((a, b)) => (a.to_owned(), b.to_owned()),
-        None => (p.clone(), String::new()),
-    };
-    sys.fs
-        .iter()
-        .filter(|f| {
-            let low = f.path.to_ascii_lowercase();
-            low.starts_with(&prefix) && low.ends_with(&suffix)
-        })
-        .map(|f| Value::from(f.path.as_str()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1316,25 +1272,6 @@ mod tests {
         m.install_hook(pid, Api::GetTickCount, Arc::new(PassThrough));
         let v = m.call_api(pid, Api::GetTickCount, Args::none());
         assert!(v.as_u64().unwrap() > 0);
-    }
-
-    #[test]
-    fn uninstall_restores_prologue() {
-        let mut m = machine();
-        m.register_program(Arc::new(Touch));
-        let pid = m.launch("touch.exe").unwrap();
-        struct H;
-        impl ApiHook for H {
-            fn label(&self) -> &str {
-                "scarecrow"
-            }
-            fn invoke(&self, _call: &mut ApiCall<'_>) -> Value {
-                Value::Bool(true)
-            }
-        }
-        m.install_hook(pid, Api::IsDebuggerPresent, Arc::new(H));
-        assert_eq!(m.uninstall_hooks(pid, Api::IsDebuggerPresent, "scarecrow"), 1);
-        assert_eq!(m.process(pid).unwrap().api_prologue(Api::IsDebuggerPresent)[0], 0x8b);
     }
 
     #[test]
@@ -1544,7 +1481,6 @@ mod tests {
         run.call_api(4, Api::ResumeThread, args![u64::from(explorer)]);
         run.call_api(explorer, Api::LoadLibrary, args!["KERNEL32.dll"]);
         run.call_api(explorer, Api::EnumProcesses, Args::none());
-        assert_eq!(run.uninstall_hooks(explorer, Api::IsDebuggerPresent, "hook"), 0);
         assert!(shares_everything(&run, &snap.template));
         // the run hooks one API in explorer.exe, then kills it
         run.install_hook(
@@ -1584,6 +1520,26 @@ mod tests {
         let pid = m.add_system_process("t.exe");
         let v = m.call_api(pid, Api::FindFirstFile, args![r"C:\a\*.sys"]);
         assert_eq!(v.as_list().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn find_first_file_matches_every_star_on_the_end_user_machine() {
+        let mut m = crate::env::end_user_machine();
+        let explorer = m.explorer_pid();
+        let found = m.call_api(explorer, Api::FindFirstFile, args![r"C:\Users\*Documents*"]);
+        let found: Vec<&str> = found.as_list().unwrap().iter().filter_map(Value::as_str).collect();
+        let expected: Vec<&str> = m
+            .system()
+            .fs
+            .iter()
+            .map(|f| f.path.as_str())
+            .filter(|p| {
+                let p = p.to_ascii_lowercase();
+                p.starts_with(r"c:\users\") && p.contains("documents")
+            })
+            .collect();
+        assert!(!expected.is_empty(), "the preset seeds documents");
+        assert_eq!(found, expected);
     }
 
     #[test]

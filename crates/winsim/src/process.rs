@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::api::{Api, CLEAN_PROLOGUE, PROLOGUE_LEN};
+use crate::api::{Api, CLEAN_PROLOGUE, HOOKED_PROLOGUE, PROLOGUE_LEN};
 
 /// Process identifier (re-exported as the crate-level `Pid`).
 pub type Pid = u32;
@@ -37,13 +37,14 @@ pub enum ProcState {
 
 /// One process in the simulated machine.
 ///
-/// Hook chains and patched prologues are `Arc`-shared: injecting the same
-/// DLL into a child shares the parent's table (two refcount bumps instead
-/// of ~40 allocations). Mutating installs copy-on-write via
-/// [`Arc::make_mut`]. A machine holds each record behind an `Arc` too, so a
-/// machine snapshot shares its processes with every run, and a run copies
-/// a record (its strings, module list and the two map handles) only when
-/// it first writes that process.
+/// The hook map is the process's only hook state — a prologue reads
+/// patched exactly when its API's chain is non-empty — and it is
+/// `Arc`-shared: injecting the same DLL into a child shares the parent's
+/// table (one refcount bump instead of ~40 allocations). Mutating installs
+/// copy-on-write via [`Arc::make_mut`]. A machine holds each record behind
+/// an `Arc` too, so a machine snapshot shares its processes with every
+/// run, and a run copies a record (its strings, module list and the map
+/// handle) only when it first writes that process.
 #[derive(Clone)]
 pub struct Process {
     /// Process id.
@@ -66,8 +67,6 @@ pub struct Process {
     pub is_system: bool,
     /// Per-API hook chains installed in this process (innermost last).
     pub(crate) hooks: crate::api::HookMap,
-    /// Patched first bytes of hooked APIs, as visible to in-process reads.
-    pub(crate) prologues: Arc<HashMap<Api, [u8; PROLOGUE_LEN]>>,
 }
 
 impl std::fmt::Debug for Process {
@@ -99,7 +98,6 @@ impl Process {
             exit_code: 0,
             is_system: false,
             hooks: Arc::new(HashMap::new()),
-            prologues: Arc::new(HashMap::new()),
         }
     }
 
@@ -118,10 +116,15 @@ impl Process {
         }
     }
 
-    /// The first bytes of an API's code as visible from this process —
-    /// clean prologue unless a hook patched it.
+    /// The first bytes of an API's code as visible from this process: the
+    /// `JMP` patch exactly when a hook is installed on it, else the clean
+    /// prologue.
     pub fn api_prologue(&self, api: Api) -> [u8; PROLOGUE_LEN] {
-        self.prologues.get(&api).copied().unwrap_or(CLEAN_PROLOGUE)
+        if self.api_hooked(api) {
+            HOOKED_PROLOGUE
+        } else {
+            CLEAN_PROLOGUE
+        }
     }
 
     /// Whether any hook is installed on the API in this process.

@@ -8,7 +8,7 @@
 //! `HKEY_LOCAL_MACHINE\SOFTWARE\Oracle\VirtualBox Guest Additions`.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::error::NtStatus;
 use crate::overlay::Overlay;
@@ -219,12 +219,20 @@ impl Registry {
         self.direct_subkeys(path).nth(index)
     }
 
-    /// Leaf names of the direct subkeys of `path`, in key order: the display
-    /// leaf of the child's own node when the child key exists, otherwise
-    /// the normalized leaf of the descendant path it is derived from.
+    /// Leaf names of the direct subkeys of `path`, each once, in key order:
+    /// the display leaf of the child's own node when the child key exists,
+    /// otherwise the normalized leaf of the descendant path it is derived
+    /// from.
+    ///
+    /// A child's descendants are contiguous in key order, but a sibling
+    /// that extends its name with a character sorting before `\` (`B x`
+    /// after `B`) falls between the child and them. Adjacent repeats are
+    /// skipped without hashing; a set catches a leaf listed before such a
+    /// sibling.
     fn direct_subkeys<'a>(&'a self, path: &str) -> impl Iterator<Item = &'a str> + 'a {
         let prefix = format!("{}\\", norm(path));
         let mut last = None;
+        let mut seen = HashSet::new();
         self.keys
             .range_from(&prefix)
             .map_while(move |(k, node)| Some((k.strip_prefix(prefix.as_str())?, node)))
@@ -234,6 +242,9 @@ impl Registry {
                     return None;
                 }
                 last = Some(leaf);
+                if !seen.insert(leaf) {
+                    return None;
+                }
                 Some(if rest == leaf {
                     node.display.rsplit('\\').next().unwrap_or("")
                 } else {
@@ -349,6 +360,18 @@ mod tests {
         assert_eq!(r.subkey_count(r"HKLM\A"), 2);
         assert_eq!(r.subkeys(r"HKLM\A"), vec!["B1".to_owned(), "B2".to_owned()]);
         assert_eq!(r.subkey_count(r"HKLM\A\B1"), 1);
+    }
+
+    #[test]
+    fn a_child_is_listed_once_when_a_sibling_extends_its_name() {
+        let mut r = Registry::new();
+        r.create_key(r"HKLM\A\B");
+        r.create_key(r"HKLM\A\B x");
+        r.create_key(r"HKLM\A\B\C");
+        assert_eq!(r.subkeys(r"HKLM\A"), ["B", "B x"]);
+        assert_eq!(r.subkey_count(r"HKLM\A"), 2);
+        assert_eq!(r.subkey(r"HKLM\A", 1), Some("B x"));
+        assert_eq!(r.subkey(r"HKLM\A", 2), None);
     }
 
     #[test]

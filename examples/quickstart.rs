@@ -9,11 +9,10 @@
 
 use std::sync::Arc;
 
-use hooklib::check_hook;
 use malware_sim::{EvasiveLogic, EvasiveSample, Payload, Reaction, Technique};
 use scarecrow::{Config, Scarecrow};
 use tracer::Verdict;
-use winsim::{Api, Machine, System};
+use winsim::{check_hook, Api, Machine, System};
 
 fn sample() -> EvasiveSample {
     EvasiveSample::new(

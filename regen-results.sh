@@ -2,7 +2,9 @@
 # Regenerates every table/figure artifact into results/, or gates a change.
 #
 #   ./regen-results.sh              # regenerate results/*.txt and results/*.json
-#   ./regen-results.sh --check      # CI gate: cargo fmt --check, clippy
+#   ./regen-results.sh --check      # CI gate: no crate dependency its
+#                                   # code does not name, cargo fmt
+#                                   # --check, clippy
 #                                   # --all-targets -D warnings, rustdoc with
 #                                   # -D warnings, the whole
 #                                   # workspace test suite, a perfbench build
@@ -50,6 +52,30 @@ require_same() {
 }
 
 if [ "${1:-}" = "--check" ]; then
+    echo "== crate dependencies named by their code =="
+    unused=0
+    for manifest in crates/*/Cargo.toml; do
+        dir="$(dirname "$manifest")"
+        # entry names of the [dependencies] and [dev-dependencies] tables
+        deps="$(awk '/^\[/ { in_deps = ($0 == "[dependencies]" || $0 == "[dev-dependencies]"); next }
+                     in_deps && /^[A-Za-z0-9_-]+[ \t.=]/ { sub(/[ \t.=].*/, ""); print }' "$manifest")"
+        code_dirs=""
+        for d in src tests benches examples; do
+            if [ -d "$dir/$d" ]; then code_dirs="$code_dirs $dir/$d"; fi
+        done
+        for dep in $deps; do
+            ident="$(echo "$dep" | tr - _)"
+            # shellcheck disable=SC2086 # code_dirs is a list of paths
+            if ! grep -rqE "(^|[^A-Za-z0-9_])$ident(::|;)" $code_dirs; then
+                echo "FAIL: $manifest declares $dep, which no file under$code_dirs names" >&2
+                unused=1
+            fi
+        done
+    done
+    if [ "$unused" -ne 0 ]; then
+        exit 1
+    fi
+    echo "ok: every crate's dependencies are named by its code"
     echo "== cargo fmt --check =="
     cargo fmt --all --check
     echo "== cargo clippy --all-targets -D warnings =="

@@ -117,6 +117,52 @@ fn registry_ancestors_exist_after_create() {
     });
 }
 
+/// Subkey names that extend each other with characters sorting before
+/// `\` (space, `!`, `-`, `.`, digits, `[`), so a child and its
+/// descendants are not adjacent in key order.
+const SUBKEY_NAMES: &[&str] = &["B", "b x", "B!", "B-1", "b.", "B[", "B0", "C", "c x"];
+
+#[test]
+fn registry_subkeys_list_each_child_once() {
+    let key = |g: &mut Gen| {
+        let comps = g.vec(1..4, |g| g.pick(SUBKEY_NAMES).to_owned());
+        format!("HKLM\\{}", comps.join("\\"))
+    };
+    let keys = move |g: &mut Gen| g.vec(1..12, key);
+    check("registry_subkeys_list_each_child_once", DEFAULT_CASES, keys, |keys| {
+        let mut r = Registry::new();
+        for k in &keys {
+            r.create_key(k);
+        }
+        // naive oracle: every normalized key with its ancestors
+        let mut all = BTreeSet::new();
+        for k in &keys {
+            let comps: Vec<String> =
+                k.to_ascii_lowercase().split('\\').map(str::to_owned).collect();
+            for depth in 1..=comps.len() {
+                all.insert(comps[..depth].to_vec());
+            }
+        }
+        for parent in &all {
+            let children: BTreeSet<&str> = all
+                .iter()
+                .filter(|k| k.len() == parent.len() + 1 && k.starts_with(parent))
+                .map(|k| k[parent.len()].as_str())
+                .collect();
+            let path = parent.join("\\");
+            let listed = r.subkeys(&path);
+            let lowered: BTreeSet<String> = listed.iter().map(|s| s.to_ascii_lowercase()).collect();
+            assert_eq!(listed.len(), lowered.len(), "{path}: a child listed twice in {listed:?}");
+            assert_eq!(lowered.iter().map(String::as_str).collect::<BTreeSet<_>>(), children);
+            assert_eq!(r.subkey_count(&path), listed.len(), "{path}");
+            for (i, name) in listed.iter().enumerate() {
+                assert_eq!(r.subkey(&path, i), Some(name.as_str()), "{path}[{i}]");
+            }
+            assert_eq!(r.subkey(&path, listed.len()), None, "{path}");
+        }
+    });
+}
+
 #[test]
 fn registry_delete_subtree_is_complete() {
     let paths = |g: &mut Gen| g.vec(1..8, reg_path);
@@ -488,8 +534,6 @@ fn fs_overlay_matches_fresh_store() {
 const SNAP_APIS: &[Api] =
     &[Api::IsDebuggerPresent, Api::GetTickCount, Api::ShellExecuteEx, Api::RegOpenKeyEx];
 const SNAP_IMAGES: &[&str] = &["sample.exe", "Sample.exe", "cmd.exe"];
-/// A closure hook's label, the Cuckoo monitor's, and one no hook has.
-const SNAP_LABELS: &[&str] = &["hook", "cuckoo-monitor", "scarecrow"];
 /// Loaded by default, loadable, and missing from the preset's registry.
 const SNAP_DLLS: &[&str] = &["KERNEL32.dll", "ws2_32.dll", "shell32.dll", "SbieDll.dll"];
 /// A preset host, the same host cased and dotted, and new domains.
@@ -504,7 +548,6 @@ enum MachineWrite {
     Terminate(usize),
     Resume(usize),
     Hook(usize, Api),
-    Unhook(usize, Api, &'static str),
     Load(usize, &'static str),
     Resolve(&'static str),
     HttpGet(&'static str),
@@ -512,14 +555,13 @@ enum MachineWrite {
 
 fn machine_write(g: &mut Gen) -> MachineWrite {
     let idx = g.index(0..24);
-    match g.index(0..8) {
+    match g.index(0..7) {
         0 => MachineWrite::Spawn(g.pick(SNAP_IMAGES), idx, g.bool()),
         1 => MachineWrite::Terminate(idx),
         2 => MachineWrite::Resume(idx),
         3 => MachineWrite::Hook(idx, g.pick(SNAP_APIS)),
-        4 => MachineWrite::Unhook(idx, g.pick(SNAP_APIS), g.pick(SNAP_LABELS)),
-        5 => MachineWrite::Load(idx, g.pick(SNAP_DLLS)),
-        6 => MachineWrite::Resolve(g.pick(SNAP_DOMAINS)),
+        4 => MachineWrite::Load(idx, g.pick(SNAP_DLLS)),
+        5 => MachineWrite::Resolve(g.pick(SNAP_DOMAINS)),
         _ => MachineWrite::HttpGet(g.pick(SNAP_DOMAINS)),
     }
 }
@@ -540,7 +582,6 @@ fn apply_machine(m: &mut Machine, op: &MachineWrite) -> String {
             m.install_hook(pid(i), api, Arc::new(|c: &mut ApiCall<'_>| c.call_original()));
             String::new()
         }
-        MachineWrite::Unhook(i, api, label) => m.uninstall_hooks(pid(i), api, label).to_string(),
         MachineWrite::Load(i, dll) => {
             format!("{:?}", m.call_api(pid(i), Api::LoadLibrary, args![dll]))
         }
@@ -1162,34 +1203,53 @@ fn one_engine_protects_many_machines_independently() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn install_uninstall_restores_clean_prologues() {
-    use hooklib::{check_hook, DllImage, Injector};
-    use std::sync::Arc;
+fn prologue_is_patched_exactly_where_a_hook_chain_is() {
+    use hooklib::{DllImage, Injector};
 
-    let api_indices = |g: &mut Gen| g.vec(1..10, |g| g.index(0..30)).into_iter().collect();
+    /// DLL API indices, and the API an autoinject hook sits on, if any.
+    type Case = (BTreeSet<usize>, Option<Api>);
+    let case = |g: &mut Gen| -> Case {
+        let apis = g.vec(1..10, |g| g.index(0..30)).into_iter().collect();
+        let auto = g.bool().then(|| g.pick(&[Api::CreateProcess, Api::ShellExecuteEx]));
+        (apis, auto)
+    };
     check(
-        "install_uninstall_restores_clean_prologues",
+        "prologue_is_patched_exactly_where_a_hook_chain_is",
         32,
-        api_indices,
-        |api_indices: BTreeSet<usize>| {
-            let apis = winsim::Api::all();
-            let mut m = winsim::Machine::new(winsim::System::new());
-            let pid = m.add_system_process("p.exe");
+        case,
+        |(indices, auto): Case| {
+            let all = Api::all();
+            let mut m = Machine::new(winsim::System::new());
+            if let Some(api) = auto {
+                m.add_autoinject_hook(api, Arc::new(|c: &mut ApiCall<'_>| c.call_original()));
+            }
+            let pid = m.spawn("p.exe", m.explorer_pid(), false);
             let mut dll = DllImage::new("test.dll");
-            for &i in &api_indices {
-                dll.hook(apis[i], Arc::new(|c: &mut winsim::ApiCall<'_>| c.call_original()));
+            for &i in &indices {
+                dll.hook(all[i], Arc::new(|c: &mut ApiCall<'_>| c.call_original()));
             }
-            let inj = Injector::new(dll);
-            inj.inject(&mut m, pid);
-            for &i in &api_indices {
-                assert!(check_hook(&m.process(pid).unwrap().api_prologue(apis[i])));
-            }
-            inj.eject(&mut m, pid);
-            for api in apis {
-                assert!(
-                    !check_hook(&m.process(pid).unwrap().api_prologue(*api)),
-                    "{api} still patched after eject"
-                );
+            Injector::new(dll).inject(&mut m, pid);
+            // one child through each follow hook
+            let child =
+                m.call_api(pid, Api::CreateProcess, args!["c.exe"]).as_u64().unwrap() as Pid;
+            let grandchild =
+                m.call_api(child, Api::ShellExecuteEx, args!["g.exe"]).as_u64().unwrap() as Pid;
+            let mut expected: BTreeSet<Api> = indices.iter().map(|&i| all[i]).collect();
+            expected.extend([Api::CreateProcess, Api::ShellExecuteEx]);
+            for pid in [pid, child, grandchild] {
+                let p = m.process(pid).unwrap();
+                assert!(p.module_loaded("test.dll"), "pid {pid} was not injected");
+                let patched: BTreeSet<Api> = all
+                    .iter()
+                    .copied()
+                    .filter(|api| {
+                        let prologue_patched = winsim::check_hook(&p.api_prologue(*api));
+                        assert_eq!(prologue_patched, p.api_hooked(*api), "{api} in pid {pid}");
+                        prologue_patched
+                    })
+                    .collect();
+                assert_eq!(patched, expected, "pid {pid}");
+                assert_eq!(p.hooked_api_count(), expected.len(), "pid {pid}");
             }
         },
     );
