@@ -58,16 +58,11 @@ fn observed_trigger(sample: &JoeSample, pair: &RunPair) -> String {
     }
     // deactivations with no IPC trigger come from unhookable-but-
     // pro-deception probes (hook detection); failures have no trigger
-    if pair.verdict.is_deactivated() {
-        if let Some(t) = sample
-            .sample
-            .logic
-            .techniques()
-            .iter()
-            .find(|t| matches!(t, Technique::HookDetection(_)))
-        {
-            return t.trigger_name();
-        }
+    let techniques = sample.sample.logic.techniques();
+    if pair.verdict.is_deactivated()
+        && techniques.iter().any(|t| matches!(t, Technique::HookDetection(_)))
+    {
+        return "Hook detection".to_owned();
     }
     "N/A".to_owned()
 }

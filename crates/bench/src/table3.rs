@@ -1,7 +1,7 @@
 //! Table III: the wear-and-tear artifacts Scarecrow fakes, their faked
 //! values, and the resulting classifier flip on a real end-user machine.
 
-use scarecrow::{Config, Scarecrow};
+use scarecrow::{Config, Scarecrow, WearTearFakes};
 use weartear::{sandbox_classifier, WearMeasurement};
 use winsim::env::end_user_machine;
 use winsim::ProcessCtx;
@@ -52,51 +52,63 @@ fn measure(with_scarecrow: bool) -> WearMeasurement {
 pub fn run() -> Table3 {
     let without = measure(false);
     let with = measure(true);
+    // the values the engine fakes, read from the engine itself
+    let w = WearTearFakes::default();
     let spec: &[(&str, &str, &str, Option<f64>)] = &[
-        ("dnscacheEntries", "Recent 4 entries", "DnsGetCacheDataTable()", Some(4.0)),
-        ("sysevt", "Recent 8K system events", "EvtNext()", Some(8_000.0)),
-        ("syssrc", "Number of sources in recent 8k events", "EvtNext()", Some(12.0)),
+        (
+            "dnscacheEntries",
+            "Recent 4 entries",
+            "DnsGetCacheDataTable()",
+            Some(w.dns_cache_entries.len() as f64),
+        ),
+        ("sysevt", "Recent 8K system events", "EvtNext()", Some(w.sys_events as f64)),
+        (
+            "syssrc",
+            "Number of sources in recent 8k events",
+            "EvtNext()",
+            Some(w.event_sources.len() as f64),
+        ),
         (
             "deviceClsCount",
             r"System\CurrentControlSet\Control\DeviceClasses (29 subkeys)",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(29.0),
+            Some(w.device_classes as f64),
         ),
         (
             "autoRunCount",
             r"Software\...\CurrentVersion\Run (3 value entries)",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(3.0),
+            Some(w.autoruns as f64),
         ),
         (
             "regSize",
             "SystemRegistryQuotaInformation 53M (bytes)",
             "NtQuerySystemInformation()",
-            Some((53 * 1024 * 1024) as f64),
+            Some(w.registry_quota_bytes as f64),
         ),
         (
             "uninstallCount",
             r"Software\...\CurrentVersion\Uninstall",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(5.0),
+            Some(w.uninstall as f64),
         ),
         (
             "totalSharedDlls",
             r"Software\...\CurrentVersion\SharedDlls",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(28.0),
+            Some(w.shared_dlls as f64),
         ),
         (
             "totalAppPaths",
             r"Software\...\CurrentVersion\App Paths",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(12.0),
+            Some(w.app_paths as f64),
         ),
         (
             "totalActiveSetup",
             r"Software\Microsoft\Active Setup\Installed Components",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(9.0),
+            Some(w.active_setup as f64),
         ),
         (
             "totalMissingDlls",
@@ -108,31 +120,31 @@ pub fn run() -> Table3 {
             "usrassistCount",
             r"Software\...\Explorer\UserAssist",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(6.0),
+            Some(w.user_assist as f64),
         ),
         (
             "shimCacheCount",
             r"SYSTEM\...\Session Manager\AppCompatCache",
             "NtOpenKeyEx(), NtQueryValueKey()",
-            Some(24.0),
+            Some(w.shim_cache as f64),
         ),
         (
             "MUICacheEntries",
             r"Software\Classes\Local Settings\...\MuiCache",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(9.0),
+            Some(w.mui_cache as f64),
         ),
         (
             "FireruleCount",
             r"SYSTEM\ControlSet001\...\FirewallRules",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(31.0),
+            Some(w.firewall_rules as f64),
         ),
         (
             "USBStorCount",
             r"SYSTEM\CurrentControlSet\Services\UsbStor",
             "NtOpenKeyEx(), NtQueryKey()",
-            Some(1.0),
+            Some(w.usb_stor as f64),
         ),
     ];
     let rows = spec

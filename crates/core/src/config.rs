@@ -397,11 +397,23 @@ mod tests {
 
     #[test]
     fn table3_values() {
+        // Table III's faked values; the Table III experiment reads them
+        // from the engine, so this is where the paper's numbers are pinned
         let w = WearTearFakes::default();
         assert_eq!(w.dns_cache_entries.len(), 4);
         assert_eq!(w.sys_events, 8_000);
+        assert_eq!(w.event_sources.len(), 12);
         assert_eq!(w.device_classes, 29);
         assert_eq!(w.autoruns, 3);
         assert_eq!(w.registry_quota_bytes, 53 * 1024 * 1024);
+        assert_eq!(w.uninstall, 5);
+        assert_eq!(w.shared_dlls, 28);
+        assert_eq!(w.app_paths, 12);
+        assert_eq!(w.active_setup, 9);
+        assert_eq!(w.user_assist, 6);
+        assert_eq!(w.shim_cache, 24);
+        assert_eq!(w.mui_cache, 9);
+        assert_eq!(w.firewall_rules, 31);
+        assert_eq!(w.usb_stor, 1);
     }
 }

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 
 use crate::profiles::Profile;
+use winsim::env::{SCSI_KEY, SYSTEM_BIOS_KEY};
 
 /// What kind of resource a trigger touched (used in reports).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -445,30 +446,15 @@ impl ResourceDb {
         // configuration values by combining multiple virtual machine names"
         // — each value carries one platform's string so profiles stay
         // internally consistent.
+        db.add_reg_value(SYSTEM_BIOS_KEY, "SystemBiosVersion", "VBOX   - 1", Profile::VirtualBox);
         db.add_reg_value(
-            r"HKLM\HARDWARE\Description\System",
-            "SystemBiosVersion",
-            "VBOX   - 1",
-            Profile::VirtualBox,
-        );
-        db.add_reg_value(
-            r"HKLM\HARDWARE\Description\System",
+            SYSTEM_BIOS_KEY,
             "VideoBiosVersion",
             "Oracle VM VirtualBox - VIRTUALBOX",
             Profile::VirtualBox,
         );
-        db.add_reg_value(
-            r"HKLM\HARDWARE\Description\System",
-            "SystemBiosDate",
-            "01/01/2007",
-            Profile::Bochs,
-        );
-        db.add_reg_value(
-            r"HKLM\HARDWARE\DEVICEMAP\Scsi\Scsi Port 0\Scsi Bus 0\Target Id 0\Logical Unit Id 0",
-            "Identifier",
-            "QEMU HARDDISK",
-            Profile::Qemu,
-        );
+        db.add_reg_value(SYSTEM_BIOS_KEY, "SystemBiosDate", "01/01/2007", Profile::Bochs);
+        db.add_reg_value(SCSI_KEY, "Identifier", "QEMU HARDDISK", Profile::Qemu);
 
         // Wine's tell-tale kernel32 export.
         db.add_export("kernel32.dll", "wine_get_unix_file_name", Profile::Wine);

@@ -9,12 +9,18 @@
 //! prose says "54 pieces of evidence" while its own table sums to 56 — we
 //! follow the table).
 //!
+//! Each check is plain data: a name, a category and a
+//! [`malware_sim::Technique`], the same evasive predicate the simulated
+//! malware runs, so a Pafish check and a sample probing the same artifact
+//! share one definition and one [`Technique::deceivable`] classification.
 //! Checks run in a fixed order; the two RDTSC probes are evaluated first
 //! within the CPU category, which matters on machines with timing noise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use malware_sim::Technique;
+use winsim::env::{SCSI_KEY, SYSTEM_BIOS_KEY};
 use winsim::{Api, ProcessCtx};
 
 /// The eleven Table II categories.
@@ -81,237 +87,154 @@ impl PafishCategory {
     }
 }
 
-type Probe = Box<dyn Fn(&mut ProcessCtx<'_>) -> bool + Send + Sync>;
-
-/// One Pafish evidence check.
+/// One Pafish evidence check: a named [`Technique`] in a Table II
+/// category.
+#[derive(Debug)]
 pub struct Check {
     /// Check identifier (pafish-style snake_case).
     pub name: &'static str,
     /// Category the check belongs to.
     pub category: PafishCategory,
-    probe: Probe,
-}
-
-impl std::fmt::Debug for Check {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Check").field("name", &self.name).field("category", &self.category).finish()
-    }
-}
-
-impl Check {
-    fn new(
-        name: &'static str,
-        category: PafishCategory,
-        probe: impl Fn(&mut ProcessCtx<'_>) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        Check { name, category, probe: Box::new(probe) }
-    }
-
-    /// Runs the check; `true` means the evidence was *triggered*.
-    pub fn run(&self, ctx: &mut ProcessCtx<'_>) -> bool {
-        (self.probe)(ctx)
-    }
-}
-
-fn reg_value_contains(ctx: &mut ProcessCtx<'_>, key: &str, name: &str, needle: &str) -> bool {
-    ctx.reg_value(key, name)
-        .and_then(|v| v.as_str().map(str::to_owned))
-        .is_some_and(|s| s.to_ascii_lowercase().contains(&needle.to_ascii_lowercase()))
+    /// The evasive predicate the check evaluates; `probe` returning
+    /// `true` means the evidence was *triggered*.
+    pub technique: Technique,
 }
 
 /// Builds all 56 checks in canonical execution order.
 pub fn all_checks() -> Vec<Check> {
     use PafishCategory::*;
-    let mut checks = Vec::with_capacity(56);
-
-    // ---------- Debuggers (1) ----------
-    checks.push(Check::new("debug_isdebuggerpresent", Debuggers, |ctx| ctx.is_debugger_present()));
-
-    // ---------- CPU information (4) — rdtsc probes first ----------
-    checks.push(Check::new("cpu_rdtsc_diff", Cpu, |ctx| ctx.rdtsc_delta_plain() > 750));
-    checks.push(Check::new("cpu_rdtsc_diff_vmexit", Cpu, |ctx| ctx.rdtsc_delta_cpuid() > 750));
-    checks.push(Check::new("cpu_cpuid_hv_bit", Cpu, |ctx| ctx.cpuid(0x1).0 & (1 << 31) != 0));
-    checks.push(Check::new("cpu_known_vm_vendors", Cpu, |ctx| {
-        let vendor = ctx.cpuid(0x4000_0000).1;
-        ["VBoxVBoxVBox", "VMwareVMware", "KVMKVMKVM", "Microsoft Hv", "prl hyperv"]
-            .iter()
-            .any(|v| vendor == *v)
-    }));
-
-    // ---------- Generic sandbox (12) ----------
-    checks.push(Check::new("gensb_mouse_activity", GenericSandbox, |ctx| {
-        let before = ctx.cursor_pos();
-        ctx.sleep(2_000);
-        ctx.cursor_pos() == before
-    }));
-    checks.push(Check::new("gensb_one_cpu_peb", GenericSandbox, |ctx| {
-        ctx.peb().number_of_processors < 2
-    }));
-    checks.push(Check::new("gensb_one_cpu_api", GenericSandbox, |ctx| ctx.cpu_count() < 2));
-    checks
-        .push(Check::new("gensb_less_than_1gb_ram", GenericSandbox, |ctx| ctx.memory_mb() < 1_024));
-    checks.push(Check::new("gensb_drive_smaller_60gb", GenericSandbox, |ctx| {
-        ctx.disk_total_bytes('C').is_some_and(|b| b < (60 << 30))
-    }));
-    checks.push(Check::new("gensb_uptime_under_12min", GenericSandbox, |ctx| {
-        ctx.tick_count() < 12 * 60 * 1_000
-    }));
-    checks.push(Check::new("gensb_parent_not_explorer", GenericSandbox, |ctx| {
-        !ctx.parent_image().eq_ignore_ascii_case("explorer.exe")
-    }));
-    checks.push(Check::new("gensb_filename_is_hash", GenericSandbox, |ctx| {
-        let path = ctx.own_path();
-        let file =
-            path.rsplit('\\').next().unwrap_or("").trim_end_matches(".exe").to_ascii_lowercase();
-        file.len() >= 32 && file.chars().all(|c| c.is_ascii_hexdigit())
-    }));
-    checks.push(Check::new("gensb_username_sandbox", GenericSandbox, |ctx| {
-        let user = ctx.user_name().to_ascii_lowercase();
-        ["sandbox", "malware", "virus", "sample", "currentuser", "honey"]
-            .iter()
-            .any(|s| user.contains(s))
-    }));
-    checks.push(Check::new("gensb_path_sandbox", GenericSandbox, |ctx| {
-        let path = ctx.own_path().to_ascii_lowercase();
-        [r"\sample", r"\analysis", r"\cuckoo", r"\virus"].iter().any(|s| path.contains(s))
-    }));
-    checks.push(Check::new("gensb_nx_domain_resolves", GenericSandbox, |ctx| {
-        ctx.dns_resolve("pafish-canary-nxdomain-check.test").is_some()
-    }));
-    checks.push(Check::new("gensb_is_native_vhd_boot", GenericSandbox, |ctx| {
-        ctx.is_native_vhd_boot() == Some(true)
-    }));
-
-    // ---------- Hook (2) ----------
-    checks.push(Check::new("hooks_inline_common_apis", Hook, |ctx| {
-        [Api::IsDebuggerPresent, Api::CreateProcess, Api::RegOpenKeyEx, Api::DeleteFile].iter().any(
-            |api| {
-                let p = ctx.read_api_prologue(*api);
-                !(p[0] == 0x8b && p[1] == 0xff)
+    use Technique as T;
+    let s = |v: &str| v.to_owned();
+    let key = |k: &str| T::RegistryKey(s(k));
+    let file = |f: &str| T::FileExists(s(f));
+    let contains = |k: &str, name: &str, needle: &str| T::RegistryValueContains {
+        key: s(k),
+        name: s(name),
+        needle: s(needle),
+    };
+    let hv_vendor = |vendors: &[&str]| T::CpuidVendor {
+        leaf: 0x4000_0000,
+        vendors: vendors.iter().map(|v| s(v)).collect(),
+    };
+    let macs = |prefixes: &[&str]| T::MacPrefix(prefixes.iter().map(|p| s(p)).collect());
+    let checks = [
+        // ---------- Debuggers (1) ----------
+        ("debug_isdebuggerpresent", Debuggers, T::IsDebuggerPresent),
+        // ---------- CPU information (4) — rdtsc probes first ----------
+        ("cpu_rdtsc_diff", Cpu, T::RdtscAbove(750)),
+        ("cpu_rdtsc_diff_vmexit", Cpu, T::RdtscVmexitAbove(750)),
+        ("cpu_cpuid_hv_bit", Cpu, T::CpuidHypervisorBit),
+        (
+            "cpu_known_vm_vendors",
+            Cpu,
+            hv_vendor(&["VBoxVBoxVBox", "VMwareVMware", "KVMKVMKVM", "Microsoft Hv", "prl hyperv"]),
+        ),
+        // ---------- Generic sandbox (12) ----------
+        ("gensb_mouse_activity", GenericSandbox, T::MouseIdle),
+        ("gensb_one_cpu_peb", GenericSandbox, T::PebCpuCountBelow(2)),
+        ("gensb_one_cpu_api", GenericSandbox, T::CpuCountBelow(2)),
+        ("gensb_less_than_1gb_ram", GenericSandbox, T::MemoryBelowMb(1_024)),
+        ("gensb_drive_smaller_60gb", GenericSandbox, T::DiskBelowGb(60)),
+        ("gensb_uptime_under_12min", GenericSandbox, T::UptimeBelowMs(12 * 60 * 1_000)),
+        ("gensb_parent_not_explorer", GenericSandbox, T::ParentNotExplorer),
+        ("gensb_filename_is_hash", GenericSandbox, T::SampleNameIsHash),
+        ("gensb_username_sandbox", GenericSandbox, T::UserNameSandboxy),
+        ("gensb_path_sandbox", GenericSandbox, T::SamplePathSandboxy),
+        (
+            "gensb_nx_domain_resolves",
+            GenericSandbox,
+            T::NxDomainResolves(s("pafish-canary-nxdomain-check.test")),
+        ),
+        ("gensb_is_native_vhd_boot", GenericSandbox, T::NativeVhdBoot),
+        // ---------- Hook (2) ----------
+        (
+            "hooks_inline_common_apis",
+            Hook,
+            T::HookDetection(vec![
+                Api::IsDebuggerPresent,
+                Api::CreateProcess,
+                Api::RegOpenKeyEx,
+                Api::DeleteFile,
+            ]),
+        ),
+        ("hooks_shellexecuteexw", Hook, T::HookDetection(vec![Api::ShellExecuteEx])),
+        // ---------- Sandboxie (1) ----------
+        ("sandboxie_sbiedll", Sandboxie, T::ModuleLoaded(s("SbieDll.dll"))),
+        // ---------- Wine (2) ----------
+        (
+            "wine_get_unix_file_name",
+            Wine,
+            T::ExportExists { module: s("kernel32.dll"), proc: s("wine_get_unix_file_name") },
+        ),
+        ("wine_reg_key", Wine, key(r"HKLM\SOFTWARE\Wine")),
+        // ---------- VirtualBox (17) ----------
+        (
+            "vbox_guest_additions_reg",
+            VirtualBox,
+            key(r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions"),
+        ),
+        ("vbox_acpi_dsdt", VirtualBox, key(r"HKLM\HARDWARE\ACPI\DSDT\VBOX__")),
+        ("vbox_system_bios", VirtualBox, contains(SYSTEM_BIOS_KEY, "SystemBiosVersion", "VBOX")),
+        (
+            "vbox_video_bios",
+            VirtualBox,
+            contains(SYSTEM_BIOS_KEY, "VideoBiosVersion", "VIRTUALBOX"),
+        ),
+        ("vbox_file_vboxmouse", VirtualBox, file(r"C:\Windows\System32\drivers\VBoxMouse.sys")),
+        ("vbox_file_vboxguest", VirtualBox, file(r"C:\Windows\System32\drivers\VBoxGuest.sys")),
+        ("vbox_file_vboxsf", VirtualBox, file(r"C:\Windows\System32\drivers\VBoxSF.sys")),
+        ("vbox_file_vboxvideo", VirtualBox, file(r"C:\Windows\System32\drivers\VBoxVideo.sys")),
+        ("vbox_svc_vboxguest", VirtualBox, key(r"HKLM\SYSTEM\ControlSet001\Services\VBoxGuest")),
+        ("vbox_svc_vboxmouse", VirtualBox, key(r"HKLM\SYSTEM\ControlSet001\Services\VBoxMouse")),
+        (
+            "vbox_svc_vboxservice",
+            VirtualBox,
+            key(r"HKLM\SYSTEM\ControlSet001\Services\VBoxService"),
+        ),
+        ("vbox_svc_vboxsf", VirtualBox, key(r"HKLM\SYSTEM\ControlSet001\Services\VBoxSF")),
+        ("vbox_proc_vboxservice", VirtualBox, T::ProcessRunning(s("VBoxService.exe"))),
+        ("vbox_proc_vboxtray", VirtualBox, T::ProcessRunning(s("VBoxTray.exe"))),
+        ("vbox_mac_prefix", VirtualBox, macs(&["08:00:27"])),
+        ("vbox_device_vboxguest", VirtualBox, T::DeviceOpens(s("VBoxGuest"))),
+        ("vbox_traytool_window", VirtualBox, T::WindowPresent(s("VBoxTrayToolWndClass"))),
+        // ---------- VMware (8) ----------
+        ("vmware_tools_reg", VMware, key(r"HKLM\SOFTWARE\VMware, Inc.\VMware Tools")),
+        ("vmware_file_vmmouse", VMware, file(r"C:\Windows\System32\drivers\vmmouse.sys")),
+        ("vmware_file_vmhgfs", VMware, file(r"C:\Windows\System32\drivers\vmhgfs.sys")),
+        ("vmware_device_vmci", VMware, T::DeviceOpens(s("vmci"))),
+        ("vmware_device_hgfs", VMware, T::DeviceOpens(s("HGFS"))),
+        ("vmware_mac_prefix", VMware, macs(&["00:05:69", "00:0c:29", "00:50:56"])),
+        ("vmware_svc_vmhgfs", VMware, key(r"HKLM\SYSTEM\ControlSet001\Services\vmhgfs")),
+        (
+            "vmware_disk_enum",
+            VMware,
+            contains(r"HKLM\SYSTEM\CurrentControlSet\Services\Disk\Enum", "0", "vmware"),
+        ),
+        // ---------- Qemu (3) ----------
+        ("qemu_scsi_identifier", Qemu, contains(SCSI_KEY, "Identifier", "QEMU")),
+        ("qemu_system_bios", Qemu, contains(SYSTEM_BIOS_KEY, "SystemBiosVersion", "QEMU")),
+        ("qemu_cpuid_kvm", Qemu, hv_vendor(&["KVMKVMKVM"])),
+        // ---------- Bochs (3) ----------
+        (
+            "bochs_bios_date",
+            Bochs,
+            T::RegistryValueEquals {
+                key: s(SYSTEM_BIOS_KEY),
+                name: s("SystemBiosDate"),
+                value: s("01/01/2007"),
             },
-        )
-    }));
-    checks.push(Check::new("hooks_shellexecuteexw", Hook, |ctx| {
-        let p = ctx.read_api_prologue(Api::ShellExecuteEx);
-        !(p[0] == 0x8b && p[1] == 0xff)
-    }));
-
-    // ---------- Sandboxie (1) ----------
-    checks.push(Check::new("sandboxie_sbiedll", Sandboxie, |ctx| ctx.module_loaded("SbieDll.dll")));
-
-    // ---------- Wine (2) ----------
-    checks.push(Check::new("wine_get_unix_file_name", Wine, |ctx| {
-        ctx.proc_address_exists("kernel32.dll", "wine_get_unix_file_name")
-    }));
-    checks.push(Check::new("wine_reg_key", Wine, |ctx| ctx.reg_key_exists(r"HKLM\SOFTWARE\Wine")));
-
-    // ---------- VirtualBox (17) ----------
-    checks.push(Check::new("vbox_guest_additions_reg", VirtualBox, |ctx| {
-        ctx.reg_key_exists(r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions")
-    }));
-    checks.push(Check::new("vbox_acpi_dsdt", VirtualBox, |ctx| {
-        ctx.reg_key_exists(r"HKLM\HARDWARE\ACPI\DSDT\VBOX__")
-    }));
-    checks.push(Check::new("vbox_system_bios", VirtualBox, |ctx| {
-        reg_value_contains(ctx, r"HKLM\HARDWARE\Description\System", "SystemBiosVersion", "VBOX")
-    }));
-    checks.push(Check::new("vbox_video_bios", VirtualBox, |ctx| {
-        reg_value_contains(
-            ctx,
-            r"HKLM\HARDWARE\Description\System",
-            "VideoBiosVersion",
-            "VIRTUALBOX",
-        )
-    }));
-    for (name, file) in [
-        ("vbox_file_vboxmouse", r"C:\Windows\System32\drivers\VBoxMouse.sys"),
-        ("vbox_file_vboxguest", r"C:\Windows\System32\drivers\VBoxGuest.sys"),
-        ("vbox_file_vboxsf", r"C:\Windows\System32\drivers\VBoxSF.sys"),
-        ("vbox_file_vboxvideo", r"C:\Windows\System32\drivers\VBoxVideo.sys"),
-    ] {
-        checks.push(Check::new(name, VirtualBox, move |ctx| ctx.file_exists(file)));
-    }
-    for (name, key) in [
-        ("vbox_svc_vboxguest", r"HKLM\SYSTEM\ControlSet001\Services\VBoxGuest"),
-        ("vbox_svc_vboxmouse", r"HKLM\SYSTEM\ControlSet001\Services\VBoxMouse"),
-        ("vbox_svc_vboxservice", r"HKLM\SYSTEM\ControlSet001\Services\VBoxService"),
-        ("vbox_svc_vboxsf", r"HKLM\SYSTEM\ControlSet001\Services\VBoxSF"),
-    ] {
-        checks.push(Check::new(name, VirtualBox, move |ctx| ctx.reg_key_exists(key)));
-    }
-    checks.push(Check::new("vbox_proc_vboxservice", VirtualBox, |ctx| {
-        ctx.process_running("VBoxService.exe")
-    }));
-    checks.push(Check::new("vbox_proc_vboxtray", VirtualBox, |ctx| {
-        ctx.process_running("VBoxTray.exe")
-    }));
-    checks.push(Check::new("vbox_mac_prefix", VirtualBox, |ctx| {
-        ctx.mac_address().starts_with("08:00:27")
-    }));
+        ),
+        ("bochs_system_bios", Bochs, contains(SYSTEM_BIOS_KEY, "SystemBiosVersion", "BOCHS")),
+        ("bochs_cpuid_brand", Bochs, T::CpuidVendor { leaf: 0x0, vendors: vec![s("BOCHS")] }),
+        // ---------- Cuckoo (3) ----------
+        ("cuckoo_pipe", Cuckoo, T::DeviceOpens(s(r"pipe\cuckoo"))),
+        ("cuckoo_svc_cuckoomon", Cuckoo, key(r"HKLM\SYSTEM\CurrentControlSet\Services\CuckooMon")),
+        ("cuckoo_agent_file", Cuckoo, file(r"C:\cuckoo-agent.py")),
+    ];
     checks
-        .push(Check::new("vbox_device_vboxguest", VirtualBox, |ctx| ctx.open_device("VBoxGuest")));
-    checks.push(Check::new("vbox_traytool_window", VirtualBox, |ctx| {
-        ctx.find_window_class("VBoxTrayToolWndClass")
-    }));
-
-    // ---------- VMware (8) ----------
-    checks.push(Check::new("vmware_tools_reg", VMware, |ctx| {
-        ctx.reg_key_exists(r"HKLM\SOFTWARE\VMware, Inc.\VMware Tools")
-    }));
-    checks.push(Check::new("vmware_file_vmmouse", VMware, |ctx| {
-        ctx.file_exists(r"C:\Windows\System32\drivers\vmmouse.sys")
-    }));
-    checks.push(Check::new("vmware_file_vmhgfs", VMware, |ctx| {
-        ctx.file_exists(r"C:\Windows\System32\drivers\vmhgfs.sys")
-    }));
-    checks.push(Check::new("vmware_device_vmci", VMware, |ctx| ctx.open_device("vmci")));
-    checks.push(Check::new("vmware_device_hgfs", VMware, |ctx| ctx.open_device("HGFS")));
-    checks.push(Check::new("vmware_mac_prefix", VMware, |ctx| {
-        let mac = ctx.mac_address();
-        ["00:05:69", "00:0c:29", "00:50:56"].iter().any(|p| mac.starts_with(p))
-    }));
-    checks.push(Check::new("vmware_svc_vmhgfs", VMware, |ctx| {
-        ctx.reg_key_exists(r"HKLM\SYSTEM\ControlSet001\Services\vmhgfs")
-    }));
-    checks.push(Check::new("vmware_disk_enum", VMware, |ctx| {
-        reg_value_contains(ctx, r"HKLM\SYSTEM\CurrentControlSet\Services\Disk\Enum", "0", "vmware")
-    }));
-
-    // ---------- Qemu (3) ----------
-    checks.push(Check::new("qemu_scsi_identifier", Qemu, |ctx| {
-        reg_value_contains(
-            ctx,
-            r"HKLM\HARDWARE\DEVICEMAP\Scsi\Scsi Port 0\Scsi Bus 0\Target Id 0\Logical Unit Id 0",
-            "Identifier",
-            "QEMU",
-        )
-    }));
-    checks.push(Check::new("qemu_system_bios", Qemu, |ctx| {
-        reg_value_contains(ctx, r"HKLM\HARDWARE\Description\System", "SystemBiosVersion", "QEMU")
-    }));
-    checks.push(Check::new("qemu_cpuid_kvm", Qemu, |ctx| ctx.cpuid(0x4000_0000).1 == "KVMKVMKVM"));
-
-    // ---------- Bochs (3) ----------
-    checks.push(Check::new("bochs_bios_date", Bochs, |ctx| {
-        ctx.reg_value(r"HKLM\HARDWARE\Description\System", "SystemBiosDate")
-            .and_then(|v| v.as_str().map(str::to_owned))
-            .is_some_and(|d| d == "01/01/2007")
-    }));
-    checks.push(Check::new("bochs_system_bios", Bochs, |ctx| {
-        reg_value_contains(ctx, r"HKLM\HARDWARE\Description\System", "SystemBiosVersion", "BOCHS")
-    }));
-    checks.push(Check::new("bochs_cpuid_brand", Bochs, |ctx| ctx.cpuid(0x0).1 == "BOCHS"));
-
-    // ---------- Cuckoo (3) ----------
-    checks.push(Check::new("cuckoo_pipe", Cuckoo, |ctx| ctx.open_device(r"pipe\cuckoo")));
-    checks.push(Check::new("cuckoo_svc_cuckoomon", Cuckoo, |ctx| {
-        ctx.reg_key_exists(r"HKLM\SYSTEM\CurrentControlSet\Services\CuckooMon")
-    }));
-    checks.push(Check::new("cuckoo_agent_file", Cuckoo, |ctx| {
-        ctx.file_exists(r"C:\cuckoo-agent.py")
-    }));
-
-    checks
+        .into_iter()
+        .map(|(name, category, technique)| Check { name, category, technique })
+        .collect()
 }
 
 /// Per-run report: triggered check names plus per-category tallies.
@@ -354,7 +277,7 @@ pub fn run_pafish(ctx: &mut ProcessCtx<'_>) -> PafishReport {
     let mut per_category: Vec<(PafishCategory, usize, usize)> =
         PafishCategory::all().iter().map(|c| (*c, 0usize, 0usize)).collect();
     for check in &checks {
-        let hit = check.run(ctx);
+        let hit = check.technique.probe(ctx);
         let row = per_category
             .iter_mut()
             .find(|(c, _, _)| *c == check.category)

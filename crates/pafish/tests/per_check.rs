@@ -146,3 +146,28 @@ fn check_names_cover_eleven_categories() {
     // spot-check Table II feature totals survive refactors
     assert_eq!(checks.len(), 56);
 }
+
+#[test]
+fn every_check_scarecrow_flips_is_deceivable() {
+    // an answer Scarecrow changes must come from a probe its hooks can
+    // reach; instruction and memory probes must never flip
+    let engine = Scarecrow::with_builtin_db(Config::default());
+    let checks = all_checks();
+    let presets = [
+        ("bare metal", bare_metal_sandbox as fn() -> Machine, 35),
+        ("VM", vm_sandbox, 18),
+        ("end user", end_user_machine, 34),
+    ];
+    for (preset, machine, expected_flips) in presets {
+        let without = triggered(machine(), None);
+        let with = triggered(machine(), Some(&engine));
+        let flipped: Vec<_> = checks
+            .iter()
+            .filter(|c| without.iter().any(|n| n == c.name) != with.iter().any(|n| n == c.name))
+            .collect();
+        for check in &flipped {
+            assert!(check.technique.deceivable(), "{preset}: {} flipped undeceivably", check.name);
+        }
+        assert_eq!(flipped.len(), expected_flips, "{preset}: {flipped:?}");
+    }
+}

@@ -140,7 +140,7 @@ pub fn all_artifacts() -> Vec<Artifact> {
         }),
         // ---------- Disk (10) ----------
         a("userFiles", Disk, |ctx| count_files(ctx, r"C:\Users\*")),
-        a("userDocuments", Disk, |ctx| count_files(ctx, r"C:\Users\*")), // documents live under Users
+        a("userDocuments", Disk, |ctx| count_files(ctx, r"C:\Users\*Documents*")),
         a("programFiles", Disk, |ctx| count_files(ctx, r"C:\Program Files\*")),
         a("systemDrivers", Disk, |ctx| count_files(ctx, r"C:\Windows\System32\drivers\*")),
         a("tempFiles", Disk, |ctx| count_files(ctx, r"C:\Users\*.tmp")),
@@ -243,6 +243,16 @@ mod tests {
         assert!(user.value("regSize") > sandbox.value("regSize"));
         assert!(user.value("uninstallCount") > sandbox.value("uninstallCount"));
         assert!(user.value("USBStorCount") > sandbox.value("USBStorCount"));
+    }
+
+    #[test]
+    fn user_documents_count_only_document_folders() {
+        let before = measure(end_user_machine());
+        let mut m = end_user_machine();
+        m.system_mut().fs.create(r"C:\Users\alice\Desktop\notes.txt", 1_024, "user-file");
+        let after = measure(m);
+        assert_eq!(after.value("userFiles"), before.value("userFiles") + 1.0);
+        assert_eq!(after.value("userDocuments"), before.value("userDocuments"));
     }
 
     #[test]

@@ -588,6 +588,12 @@ impl Machine {
         pid
     }
 
+    /// Image names of the processes not yet terminated, in pid order: what
+    /// every process-enumeration API lists.
+    fn live_images(&self) -> impl Iterator<Item = &str> {
+        self.procs.values().filter(|p| p.state != ProcState::Terminated).map(|p| p.image.as_str())
+    }
+
     /// The default (unhooked) implementation of every API.
     ///
     /// This is what a hook's `call_original` bottoms out in; it consults and
@@ -825,23 +831,10 @@ impl Machine {
                 let handle = args.u64(0);
                 Value::Bool(handle != 0xDEAD_BEEF)
             }
-            Api::EnumProcesses => {
-                let list: Vec<Value> = m
-                    .procs
-                    .values()
-                    .filter(|p| p.state != ProcState::Terminated)
-                    .map(|p| Value::from(p.image.as_str()))
-                    .collect();
-                Value::List(list)
-            }
+            Api::EnumProcesses => Value::List(m.live_images().map(Value::from).collect()),
             Api::GetCurrentProcessId => Value::U64(u64::from(pid)),
             Api::CreateToolhelp32Snapshot => {
-                let images: Vec<String> = m
-                    .procs
-                    .values()
-                    .filter(|p| p.state != ProcState::Terminated)
-                    .map(|p| p.image.clone())
-                    .collect();
+                let images: Vec<String> = m.live_images().map(str::to_owned).collect();
                 let handle = m.next_snapshot;
                 m.next_snapshot += 4;
                 m.snapshots.insert(handle, (images, 0));
@@ -927,15 +920,7 @@ impl Machine {
             Api::NtQuerySystemInformation => {
                 let class = args.str(0);
                 match class {
-                    "ProcessInformation" => {
-                        let list: Vec<Value> = m
-                            .procs
-                            .values()
-                            .filter(|p| p.state != ProcState::Terminated)
-                            .map(|p| Value::from(p.image.as_str()))
-                            .collect();
-                        Value::List(list)
-                    }
+                    "ProcessInformation" => Value::List(m.live_images().map(Value::from).collect()),
                     "RegistryQuota" => Value::U64(m.sys.registry.quota_used_bytes()),
                     "KernelDebugger" => Value::Bool(false),
                     _ => Value::Status(NtStatus::InvalidParameter),
