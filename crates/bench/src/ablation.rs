@@ -51,8 +51,9 @@ fn config_variants() -> Vec<(String, Config, scarecrow::ResourceDb)> {
     ]
 }
 
-/// Runs the configuration-breadth ablation over `subset` corpus samples.
-pub fn deception_breadth(subset: usize) -> Vec<ConfigRate> {
+/// Runs the configuration-breadth ablation over `subset` corpus samples,
+/// each configuration's sweep spread over `workers` cluster nodes.
+pub fn deception_breadth(subset: usize, workers: usize) -> Vec<ConfigRate> {
     let corpus: Vec<_> = malgene_corpus(crate::figure4::CORPUS_SEED)
         .into_iter()
         .step_by((malware_sim::CORPUS_SIZE / subset).max(1))
@@ -64,7 +65,7 @@ pub fn deception_breadth(subset: usize) -> Vec<ConfigRate> {
             let cluster =
                 Cluster::new(Arc::new(bare_metal_sandbox), Scarecrow::with_db(config, db))
                     .with_limits(RunLimits { budget_ms: 60_000, max_processes: 40 });
-            let report = cluster.run_corpus(&corpus);
+            let report = cluster.run_corpus(&corpus, workers);
             ConfigRate { label, deactivated: report.deactivated(), total: corpus.len() }
         })
         .collect()
@@ -174,7 +175,7 @@ mod tests {
 
     #[test]
     fn breadth_ordering_holds() {
-        let rates = deception_breadth(60);
+        let rates = deception_breadth(60, 2);
         let rate_of = |label: &str| {
             rates
                 .iter()

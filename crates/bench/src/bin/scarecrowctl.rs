@@ -298,8 +298,8 @@ fn cmd_explain(name: &str) {
     }
 }
 
-fn top_counts(title: &str, counts: &BTreeMap<String, u64>) {
-    let mut rows: Vec<(&str, u64)> = counts.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+fn top_counts(title: &str, counts: &BTreeMap<&str, u64>) {
+    let mut rows: Vec<(&str, u64)> = counts.iter().map(|(k, v)| (*k, *v)).collect();
     rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
     println!("\n{title}:");
     for (name, n) in rows.into_iter().take(10) {
@@ -313,18 +313,18 @@ fn cmd_top() {
     let limits = RunLimits { budget_ms: 60_000, max_processes: 40 };
     let report = figure4::run(limits, workers, FlightConfig::enabled());
     let snap = report.flight().expect("flight recorder enabled");
-    let mut apis: BTreeMap<String, u64> = BTreeMap::new();
-    let mut handlers: BTreeMap<String, u64> = BTreeMap::new();
-    let mut artifacts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut apis: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut handlers: BTreeMap<&str, u64> = BTreeMap::new();
+    let mut artifacts: BTreeMap<&str, u64> = BTreeMap::new();
     let mut recorded = 0u64;
     let mut total = 0u64;
     for a in &snap.attributions {
         total += a.total_steps;
         recorded += a.chain.len() as u64;
         for s in &a.chain {
-            *apis.entry(s.api.clone()).or_default() += 1;
-            *handlers.entry(s.handler.clone()).or_default() += 1;
-            *artifacts.entry(s.artifact.clone()).or_default() += 1;
+            *apis.entry(s.api).or_default() += 1;
+            *handlers.entry(s.handler).or_default() += 1;
+            *artifacts.entry(&s.artifact).or_default() += 1;
         }
     }
     println!(

@@ -26,7 +26,7 @@ pub fn run(limits: RunLimits, workers: usize, flight: FlightConfig) -> CorpusRep
     Cluster::new(Arc::new(bare_metal_sandbox), engine)
         .with_limits(limits)
         .with_flight(flight)
-        .run_corpus_parallel(&corpus, workers)
+        .run_corpus(&corpus, workers)
 }
 
 /// Renders the Figure 4 histogram (top-10 families) plus the headline

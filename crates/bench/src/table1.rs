@@ -191,6 +191,41 @@ mod tests {
     }
 
     #[test]
+    fn flight_chains_and_run_triggers_are_one_record() {
+        // the recorder's chain is copied from the decisions the protected
+        // run reports: as many steps, and step for step the same fact
+        let cluster = Cluster::new(
+            Arc::new(bare_metal_sandbox),
+            Scarecrow::with_builtin_db(Config::default()),
+        )
+        .with_flight(FlightConfig::enabled());
+        let pairs: Vec<_> = joe_samples()
+            .into_iter()
+            .enumerate()
+            .map(|(i, js)| {
+                (js.md5, cluster.run_pair_recorded(js.md5, i as u64, js.sample.into_program()))
+            })
+            .collect();
+        let snap = cluster.flight_snapshot().expect("flight recorder armed");
+        for (md5, pair) in &pairs {
+            let triggers = &pair.protected.triggers;
+            let a = snap.attribution_for(md5).expect("every Joe sample attributed");
+            assert_eq!(a.total_steps, triggers.len() as u64, "{md5}");
+            // the recorder keeps the first 32 steps of a chain
+            assert_eq!(a.chain.len(), triggers.len().min(32), "{md5}");
+            for (step, t) in a.chain.iter().zip(triggers) {
+                assert_eq!(
+                    (step.time_ms, step.api, step.category, &step.artifact),
+                    (t.time_ms, t.api.name(), t.category, &t.resource),
+                    "{md5}"
+                );
+                assert_eq!((step.handler, &step.answer), (t.profile, &t.answer), "{md5}");
+            }
+        }
+        assert!(pairs.iter().any(|(_, p)| !p.protected.triggers.is_empty()));
+    }
+
+    #[test]
     fn baseline_runs_show_malicious_activity() {
         let (rows, ..) = run();
         for r in rows.iter().filter(|r| r.md5 != "564ac87") {

@@ -11,12 +11,11 @@ use std::sync::{Arc, RwLock};
 
 use hooklib::{DllImage, Injector};
 use tracer::{Telemetry, TelemetrySnapshot, Trace};
-use winsim::{Api, Machine, Pid, SimError};
+use winsim::{Api, Decision, Machine, Pid, SimError};
 
 use crate::config::Config;
 use crate::crawler;
 use crate::engine::{DeceptionHook, EngineState, POISONED};
-use crate::ipc::Trigger;
 use crate::profiles::Profile;
 use crate::resources::{ResourceDb, ResourceStats};
 use crate::rules::RuleSet;
@@ -33,15 +32,16 @@ pub const CONTROLLER_IMAGE: &str = "scarecrow.exe";
 pub struct ProtectedRun {
     /// Pid the sample ran as.
     pub pid: Pid,
-    /// Every fingerprint trigger, in order.
-    pub triggers: Vec<Trigger>,
+    /// Every fingerprint trigger — each decision the injected DLL reported
+    /// — in order.
+    pub triggers: Vec<Decision>,
     /// The kernel trace of the run.
     pub trace: Trace,
 }
 
 impl ProtectedRun {
     /// The first trigger — what Table I reports per sample.
-    pub fn first_trigger(&self) -> Option<&Trigger> {
+    pub fn first_trigger(&self) -> Option<&Decision> {
         self.triggers.first()
     }
 
@@ -306,8 +306,7 @@ impl Scarecrow {
         machine.set_trace_root(image);
         let pid = self.current_injector().launch_injected(machine, image, controller)?;
         machine.run();
-        let decisions = machine.take_deception().into_decisions();
-        let triggers = decisions.into_iter().map(Trigger::from_decision).collect();
+        let triggers = machine.take_deception().into_decisions();
         Ok(ProtectedRun { pid, triggers, trace: machine.take_trace() })
     }
 }

@@ -162,19 +162,18 @@ impl ApiHook for DeceptionHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ipc::Trigger;
     use crate::resources::Category;
     use std::collections::HashSet;
     use std::sync::Arc;
-    use winsim::{args, Api, Machine, NtStatus, Pid, System};
+    use winsim::{args, Api, Decision, Machine, NtStatus, Pid, System};
 
     fn engine() -> Arc<EngineState> {
         Arc::new(EngineState::new(Config::default(), Arc::new(ResourceDb::builtin())))
     }
 
     /// Takes the triggers recorded on the machine so far.
-    fn take_triggers(m: &mut Machine) -> Vec<Trigger> {
-        m.take_deception().into_decisions().into_iter().map(Trigger::from_decision).collect()
+    fn take_triggers(m: &mut Machine) -> Vec<Decision> {
+        m.take_deception().into_decisions()
     }
 
     fn hooked_machine(state: &Arc<EngineState>) -> (Machine, Pid) {
@@ -195,8 +194,8 @@ mod tests {
         assert_eq!(v.as_status(), NtStatus::Success);
         let triggers = take_triggers(&mut m);
         assert_eq!(triggers.len(), 1);
-        assert_eq!(triggers[0].category, Category::Registry);
-        assert_eq!(triggers[0].profile, Profile::VMware);
+        assert_eq!(triggers[0].category, Category::Registry.name());
+        assert_eq!(triggers[0].profile, Profile::VMware.name());
     }
 
     #[test]
@@ -220,7 +219,7 @@ mod tests {
         let state = engine();
         let (mut m, pid) = hooked_machine(&state);
         assert_eq!(m.call_api(pid, Api::IsDebuggerPresent, args![]), Value::Bool(true));
-        assert_eq!(take_triggers(&mut m)[0].category, Category::Debugger);
+        assert_eq!(take_triggers(&mut m)[0].category, Category::Debugger.name());
     }
 
     #[test]
@@ -257,7 +256,7 @@ mod tests {
         let v =
             m.call_api(pid, Api::DnsQuery, args!["iuqerfsodp9ifjaposdfjhgosurijfaewrwergwea.test"]);
         assert_eq!(v.as_str(), Some("10.11.12.13"));
-        assert_eq!(take_triggers(&mut m)[0].category, Category::Network);
+        assert_eq!(take_triggers(&mut m)[0].category, Category::Network.name());
         // HTTP against the sinkholed domain answers 200
         let code = m.call_api(pid, Api::InternetOpenUrl, args!["another-nx-domain.test"]);
         assert_eq!(code.as_u64(), Some(200));
@@ -281,7 +280,7 @@ mod tests {
         let v = m.call_api(pid, Api::TerminateProcess, args![u64::from(victim)]);
         assert_eq!(v, Value::Bool(false));
         assert!(m.find_process("procmon.exe").is_some());
-        assert_eq!(take_triggers(&mut m)[0].category, Category::Process);
+        assert_eq!(take_triggers(&mut m)[0].category, Category::Process.name());
         // unprotected processes still die
         let bystander = m.add_system_process("randomapp.exe");
         assert_eq!(
@@ -308,7 +307,7 @@ mod tests {
         assert_eq!(events.as_list().unwrap().len(), 8_000);
         let cache = m.call_api(pid, Api::DnsGetCacheDataTable, args![]);
         assert_eq!(cache.as_list().unwrap().len(), 4);
-        assert!(take_triggers(&mut m).iter().all(|t| t.category == Category::WearTear));
+        assert!(take_triggers(&mut m).iter().all(|t| t.category == Category::WearTear.name()));
     }
 
     #[test]

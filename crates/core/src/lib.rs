@@ -13,7 +13,8 @@
 //!
 //! * [`Scarecrow`] — the controller (`scarecrow.exe`): starts targets as
 //!   its own children, injects the engine, and reads each run's triggers
-//!   and alarms off the machine that ran it;
+//!   — the [`winsim::Decision`]s the DLL reported, Section III-B's IPC
+//!   message — and alarms off the machine that ran it;
 //! * [`engine::DeceptionHook`] — the injected `scarecrow.dll`: one
 //!   dispatcher over the 29 core hooked APIs (plus the 7 wear-and-tear
 //!   APIs of Table III), delegating per-API behavior to the declarative
@@ -22,8 +23,7 @@
 //!   public-sandbox crawl ([`crawler`], Section II-C);
 //! * [`Profile`] — per-platform profiles; [`Profile::active`] is the
 //!   conflict-avoiding exclusive mode of Section VI-B, a pure function of
-//!   the configuration and the run's committed profile;
-//! * [`ipc`] — the DLL→controller trigger message.
+//!   the configuration and the run's committed profile.
 //!
 //! # Quick start
 //!
@@ -61,7 +61,6 @@ mod config;
 mod controller;
 pub mod crawler;
 pub mod engine;
-pub mod ipc;
 mod learning;
 mod profiles;
 mod resources;
@@ -70,7 +69,6 @@ mod summary;
 
 pub use config::{Config, ConfigError, WearTearFakes};
 pub use controller::{ProtectedRun, Scarecrow, ScarecrowBuilder, CONTROLLER_IMAGE, DLL_NAME};
-pub use ipc::Trigger;
 pub use learning::{LearnOutcome, LEARNED_VALUE_DATA};
 pub use profiles::Profile;
 pub use resources::{Category, ResourceDb, ResourceStats};

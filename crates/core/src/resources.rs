@@ -42,20 +42,6 @@ pub enum Category {
 }
 
 impl Category {
-    const ALL: [Category; 11] = [
-        Category::File,
-        Category::Device,
-        Category::Process,
-        Category::Dll,
-        Category::Window,
-        Category::Registry,
-        Category::Hardware,
-        Category::Debugger,
-        Category::Network,
-        Category::WearTear,
-        Category::Identity,
-    ];
-
     /// Stable lower-case name (also the `Display` form).
     pub fn name(self) -> &'static str {
         match self {
@@ -71,11 +57,6 @@ impl Category {
             Category::WearTear => "wear-and-tear",
             Category::Identity => "identity",
         }
-    }
-
-    /// The category named `name`, the inverse of [`Category::name`].
-    pub fn from_name(name: &str) -> Option<Category> {
-        Category::ALL.into_iter().find(|c| c.name() == name)
     }
 }
 
@@ -495,14 +476,6 @@ impl ResourceDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn category_names_round_trip() {
-        for c in Category::ALL {
-            assert_eq!(Category::from_name(c.name()), Some(c));
-        }
-        assert_eq!(Category::from_name("not-a-category"), None);
-    }
 
     #[test]
     fn builtin_cardinalities_match_the_paper() {

@@ -56,12 +56,22 @@ impl DeceptionRule for IdentityRule {
                     call.machine().process(pid).map(|p| p.image.clone()).unwrap_or_default();
                 let faked = format!("{}\\{}.exe", cfg.fake_sample_dir, hash_name(&image));
                 Outcome::Deceive(
-                    Deception::new(Category::Identity, "sample path", Profile::Generic, &faked),
+                    Deception::new(
+                        Category::Identity,
+                        "sample path",
+                        Profile::Generic,
+                        faked.clone(),
+                    ),
                     Value::from(faked),
                 )
             }
             Api::GetUserName => Outcome::Deceive(
-                Deception::new(Category::Identity, "user name", Profile::Generic, &cfg.fake_user),
+                Deception::new(
+                    Category::Identity,
+                    "user name",
+                    Profile::Generic,
+                    cfg.fake_user.clone(),
+                ),
                 Value::from(cfg.fake_user.as_str()),
             ),
             Api::GetComputerName => Outcome::Deceive(
@@ -69,7 +79,7 @@ impl DeceptionRule for IdentityRule {
                     Category::Identity,
                     "computer name",
                     Profile::Generic,
-                    &cfg.fake_computer,
+                    cfg.fake_computer.clone(),
                 ),
                 Value::from(cfg.fake_computer.as_str()),
             ),

@@ -20,10 +20,11 @@
 //! 3. Done: [`RuleSet::build`] derives the hooked-API set, the hook table,
 //!    the `scarecrowctl rules` listing, and the attribution plumbing.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use winsim::{Api, ApiCall, Value};
+use winsim::{Api, ApiCall, Decision, Value};
 
 use crate::config::Config;
 use crate::engine::EngineState;
@@ -105,28 +106,30 @@ impl Gate {
 }
 
 /// A fabricated answer, named: what artifact was probed, which profile
-/// answers, and what the caller was told. The dispatcher records it on the
-/// run's machine ([`winsim::Machine::record_decision`]) — rules cannot
-/// forget to attribute their lies.
+/// answers, and what the caller was told — the rule's draft of a
+/// [`Decision`]. The dispatcher moves it into the decision it records on
+/// the run's machine ([`winsim::Machine::record_decision`]) — rules cannot
+/// forget to attribute their lies. A literal resource or answer is
+/// borrowed, not copied.
 #[derive(Debug, Clone)]
 pub struct Deception {
     /// Resource category of the probed artifact.
     pub category: Category,
     /// The probed artifact (registry path, file, domain, …).
-    pub resource: String,
+    pub resource: Cow<'static, str>,
     /// The profile whose planted resource answered.
     pub profile: Profile,
     /// Human-readable fabricated answer.
-    pub answer: String,
+    pub answer: Cow<'static, str>,
 }
 
 impl Deception {
     /// Builds a deception record.
     pub fn new(
         category: Category,
-        resource: impl Into<String>,
+        resource: impl Into<Cow<'static, str>>,
         profile: Profile,
-        answer: impl Into<String>,
+        answer: impl Into<Cow<'static, str>>,
     ) -> Self {
         Deception { category, resource: resource.into(), profile, answer: answer.into() }
     }
@@ -291,10 +294,11 @@ impl RuleSet {
     }
 
     /// The one dispatch path: asks each live rule registered for the
-    /// call's API, records the [`Deception`] of the first
-    /// non-[`Outcome::Pass`] answer on the run's machine — in exclusive
-    /// mode, a platform profile's first answer also commits the run to it
-    /// — and falls through to the original API when every rule declines.
+    /// call's API, moves the [`Deception`] of the first
+    /// non-[`Outcome::Pass`] answer into a [`Decision`] recorded on the
+    /// run's machine — in exclusive mode, a platform profile's first
+    /// answer also commits the run to it — and falls through to the
+    /// original API when every rule declines.
     pub(crate) fn dispatch(&self, state: &EngineState, call: &mut ApiCall<'_>) -> Value {
         let cfg = &*self.config;
         for rule in self.rules_for(call.api) {
@@ -302,11 +306,19 @@ impl RuleSet {
                 Outcome::Pass => {}
                 Outcome::Done(value) => return value,
                 Outcome::Deceive(d, value) => {
-                    let (pid, api, profile) = (call.pid, call.api, d.profile.name());
+                    let (pid, profile) = (call.pid, d.profile);
+                    let decision = Decision {
+                        api: call.api,
+                        category: d.category.name(),
+                        resource: d.resource,
+                        profile: profile.name(),
+                        answer: d.answer,
+                        time_ms: call.machine_ref().system().clock.now_ms(),
+                    };
                     let m = call.machine();
-                    m.record_decision(pid, api, d.category.name(), &d.resource, profile, &d.answer);
-                    if cfg.exclusive_profiles && d.profile.commits() {
-                        m.deception_mut().committed_profile.get_or_insert(profile);
+                    m.record_decision(pid, decision);
+                    if cfg.exclusive_profiles && profile.commits() {
+                        m.deception_mut().committed_profile.get_or_insert(profile.name());
                     }
                     return value;
                 }

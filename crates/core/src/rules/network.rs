@@ -42,7 +42,12 @@ impl DeceptionRule for NetworkRule {
                     let a = cfg.sinkhole_addr;
                     let sinkhole = format!("{}.{}.{}.{}", a[0], a[1], a[2], a[3]);
                     return Outcome::Deceive(
-                        Deception::new(Category::Network, domain, Profile::Generic, &sinkhole),
+                        Deception::new(
+                            Category::Network,
+                            domain,
+                            Profile::Generic,
+                            sinkhole.clone(),
+                        ),
                         Value::from(sinkhole),
                     );
                 }

@@ -58,7 +58,7 @@ impl DeceptionRule for RegistryRule {
                 if let Some((data, p)) = hit {
                     let path = format!("{}\\{}", call.args.str(0), call.args.str(1));
                     return Outcome::Deceive(
-                        Deception::new(Category::Registry, path, p, data),
+                        Deception::new(Category::Registry, path, p, data.to_owned()),
                         Value::from(data),
                     );
                 }

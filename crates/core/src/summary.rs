@@ -2,7 +2,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::ipc::Trigger;
+use winsim::Decision;
+
 use crate::profiles::Profile;
 use crate::resources::Category;
 
@@ -25,14 +26,14 @@ pub struct TriggerSummary {
 
 impl TriggerSummary {
     /// Aggregates a trigger stream.
-    pub fn of(triggers: &[Trigger]) -> Self {
+    pub fn of(triggers: &[Decision]) -> Self {
         let mut summary = TriggerSummary { total: triggers.len(), ..TriggerSummary::default() };
         let mut resources = std::collections::BTreeSet::new();
         for t in triggers {
-            *summary.by_category.entry(t.category.to_string()).or_default() += 1;
+            *summary.by_category.entry(t.category.to_owned()).or_default() += 1;
             *summary.by_api.entry(t.api.name().to_owned()).or_default() += 1;
-            *summary.by_profile.entry(t.profile.to_string()).or_default() += 1;
-            resources.insert(t.resource.clone());
+            *summary.by_profile.entry(t.profile.to_owned()).or_default() += 1;
+            resources.insert(&t.resource);
             summary.first_at_ms = Some(summary.first_at_ms.map_or(t.time_ms, |f| f.min(t.time_ms)));
         }
         summary.distinct_resources = resources.len();
@@ -41,12 +42,12 @@ impl TriggerSummary {
 
     /// Count for a category.
     pub fn category(&self, category: Category) -> usize {
-        self.by_category.get(&category.to_string()).copied().unwrap_or(0)
+        self.by_category.get(category.name()).copied().unwrap_or(0)
     }
 
     /// Count for a profile.
     pub fn profile(&self, profile: Profile) -> usize {
-        self.by_profile.get(&profile.to_string()).copied().unwrap_or(0)
+        self.by_profile.get(profile.name()).copied().unwrap_or(0)
     }
 
     /// The most-queried API, if any triggers exist.
@@ -80,12 +81,13 @@ mod tests {
     use super::*;
     use winsim::Api;
 
-    fn t(api: Api, category: Category, resource: &str, ms: u64) -> Trigger {
-        Trigger {
+    fn t(api: Api, category: Category, resource: &'static str, ms: u64) -> Decision {
+        Decision {
             api,
-            category,
+            category: category.name(),
             resource: resource.into(),
-            profile: Profile::Debugger,
+            profile: Profile::Debugger.name(),
+            answer: "TRUE".into(),
             time_ms: ms,
         }
     }

@@ -122,7 +122,7 @@ impl Cluster {
     }
 
     /// A snapshot of the cluster's flight recorder, when one is enabled.
-    /// (A parallel sweep's merged per-worker snapshot is attached to its
+    /// (A corpus sweep's merged per-worker snapshot is attached to its
     /// [`CorpusReport`] instead.)
     pub fn flight_snapshot(&self) -> Option<FlightSnapshot> {
         self.recorder().as_ref().map(FlightRecorder::snapshot)
@@ -234,23 +234,6 @@ impl Cluster {
         self.run_pair_recorded(&name, 0, program)
     }
 
-    /// Runs the whole corpus sequentially. Telemetry and the flight
-    /// recorder (when enabled) are reset first, so the report's snapshots
-    /// cover exactly this sweep.
-    pub fn run_corpus(&self, corpus: &[CorpusSample]) -> CorpusReport {
-        if let Some(t) = self.engine.telemetry() {
-            t.reset();
-        }
-        if let Some(f) = self.recorder().as_mut() {
-            f.reset();
-        }
-        let results =
-            corpus.iter().enumerate().map(|(i, s)| self.run_corpus_sample(s, i as u64)).collect();
-        CorpusReport::new(results)
-            .with_telemetry(self.telemetry_snapshot())
-            .with_flight(self.flight_snapshot())
-    }
-
     /// The paired run, with the cluster's flight recorder (when armed)
     /// riding on the machine for the protected run only — the deception
     /// stack is what it instruments — bracketed by a root `sample` span
@@ -277,7 +260,7 @@ impl Cluster {
         SampleResult::from_pair(s, &pair)
     }
 
-    /// Runs the corpus across `workers` threads, each on a
+    /// Runs the corpus across `workers` threads (at least one), each on a
     /// [`Scarecrow::worker`] engine sharing this cluster's database `Arc`,
     /// machine factory, limits, and preset snapshot (worker isolation
     /// mirrors the paper's independent cluster nodes).
@@ -285,10 +268,11 @@ impl Cluster {
     /// Work is distributed by stealing from a shared atomic index rather
     /// than static chunking, so a worker stuck on an expensive sample
     /// (e.g. a deep self-spawn loop) never leaves the others idle. Result
-    /// order is still the corpus order, and per-worker telemetry snapshots
-    /// are merged into the report's snapshot, so a parallel sweep
-    /// aggregates to the same counts as [`Cluster::run_corpus`].
-    pub fn run_corpus_parallel(&self, corpus: &[CorpusSample], workers: usize) -> CorpusReport {
+    /// order is the corpus order whatever the worker count. The report's
+    /// telemetry and flight snapshots merge the workers' own, so they
+    /// cover exactly this sweep and read the same for any worker count;
+    /// the cluster's engine and recorder are left untouched.
+    pub fn run_corpus(&self, corpus: &[CorpusSample], workers: usize) -> CorpusReport {
         let workers = workers.max(1).min(corpus.len().max(1));
         let next = AtomicUsize::new(0);
         let slots: Vec<OnceLock<SampleResult>> =
@@ -326,8 +310,8 @@ impl Cluster {
             }
         });
         let telemetry = (!snapshots.is_empty()).then(|| TelemetrySnapshot::merged(snapshots));
-        // Merging re-sorts spans and attributions into corpus order, so a
-        // parallel sweep's flight data reads the same as a sequential one.
+        // Merging re-sorts spans and attributions into corpus order, so the
+        // sweep's flight data reads the same for any worker count.
         let flight = (!flights.is_empty()).then(|| FlightSnapshot::merged(flights));
         let results = slots.into_iter().map(|s| s.into_inner().expect("all samples ran")).collect();
         CorpusReport::new(results).with_telemetry(telemetry).with_flight(flight)
@@ -453,15 +437,15 @@ mod tests {
         let corpus: Vec<_> = malgene_corpus(3).into_iter().take(24).collect();
         let limits = RunLimits { budget_ms: 60_000, max_processes: 60 };
         let c = cluster().with_limits(limits);
-        let seq = c.run_corpus(&corpus);
-        let par = c.run_corpus_parallel(&corpus, 4);
+        let seq = c.run_corpus(&corpus, 1);
+        let par = c.run_corpus(&corpus, 4);
         assert_eq!(seq.deactivated(), par.deactivated());
         for (a, b) in seq.results().iter().zip(par.results()) {
             assert_eq!(a.md5, b.md5);
             assert_eq!(a.verdict, b.verdict);
         }
         // the N workers' merged telemetry counters sum to exactly the
-        // sequential sweep's counts
+        // one-worker sweep's counts
         let seq_t = seq.telemetry().expect("telemetry on by default");
         let par_t = par.telemetry().expect("telemetry on by default");
         assert!(!seq_t.is_empty());
@@ -502,8 +486,8 @@ mod tests {
                 assert_eq!(a.verdict, b.verdict, "{}", s.md5);
             }
             // whole sweeps: reports and telemetry counters agree
-            let ra = snap.run_corpus(&corpus);
-            let rb = rebuild.run_corpus(&corpus);
+            let ra = snap.run_corpus(&corpus, 1);
+            let rb = rebuild.run_corpus(&corpus, 1);
             assert_eq!(ra.results(), rb.results());
             let ta = ra.telemetry().expect("telemetry on by default");
             let tb = rb.telemetry().expect("telemetry on by default");
@@ -514,8 +498,8 @@ mod tests {
                 tb.deterministic.to_json().to_string(),
                 "deterministic telemetry must serialize byte-identically across reset strategies"
             );
-            // and the work-stealing parallel sweep matches both
-            let rp = snap.run_corpus_parallel(&corpus, 4);
+            // and a four-worker sweep matches both
+            let rp = snap.run_corpus(&corpus, 4);
             assert_eq!(ra.results(), rp.results());
             assert!(ta.counters_agree(rp.telemetry().expect("telemetry on by default")));
         }
@@ -577,13 +561,13 @@ mod tests {
         let corpus: Vec<_> = malgene_corpus(3).into_iter().take(12).collect();
         let limits = RunLimits { budget_ms: 60_000, max_processes: 60 };
         let c = cluster().with_limits(limits).with_flight(FlightConfig::enabled());
-        let seq = c.run_corpus(&corpus);
-        let par = c.run_corpus_parallel(&corpus, 4);
+        let seq = c.run_corpus(&corpus, 1);
+        let par = c.run_corpus(&corpus, 4);
         let fs = seq.flight().expect("flight enabled");
         let fp = par.flight().expect("flight enabled");
         assert_eq!(fs.attributions.len(), corpus.len(), "one chain per sample");
         // merge re-sorts worker data into corpus order; virtual-clock
-        // timestamps make the chains byte-identical to the sequential sweep
+        // timestamps make the chains byte-identical to the one-worker sweep
         assert_eq!(fs.attributions, fp.attributions);
         assert!(!fs.spans.is_empty());
         assert!(fs.hists.contains_key("api_dispatch_ns"));
@@ -595,7 +579,7 @@ mod tests {
             .with_limits(limits)
             .with_flight(FlightConfig::enabled())
             .with_reset_strategy(ResetStrategy::FactoryRebuild);
-        let fr = rebuild.run_corpus(&corpus);
+        let fr = rebuild.run_corpus(&corpus, 1);
         let fr = fr.flight().expect("flight enabled");
         assert!(fr.hists.contains_key("api_dispatch_ns"));
         assert!(!fr.hists.contains_key("snapshot_restore_ns"));
@@ -606,7 +590,7 @@ mod tests {
         let corpus: Vec<_> = malgene_corpus(3).into_iter().take(4).collect();
         let limits = RunLimits { budget_ms: 60_000, max_processes: 60 };
         let c = cluster().with_limits(limits);
-        let report = c.run_corpus(&corpus);
+        let report = c.run_corpus(&corpus, 1);
         assert!(report.flight().is_none());
         assert!(c.flight_snapshot().is_none());
     }
@@ -624,7 +608,7 @@ mod tests {
             assert_eq!(a.protected.triggers, b.protected.triggers, "{}", s.md5);
             assert_eq!(a.verdict, b.verdict, "{}", s.md5);
         }
-        let (ra, rb) = (off.run_corpus(&corpus), on.run_corpus(&corpus));
+        let (ra, rb) = (off.run_corpus(&corpus, 1), on.run_corpus(&corpus, 1));
         assert!(ra.flight().is_none());
         assert_eq!(rb.flight().expect("armed").attributions.len(), corpus.len());
         assert_eq!(ra.results(), rb.results());
@@ -677,10 +661,10 @@ mod tests {
         let limits = RunLimits { budget_ms: 60_000, max_processes: 60 };
         let with_t = Cluster::new(Arc::new(bare_metal_sandbox), enabled)
             .with_limits(limits)
-            .run_corpus(&corpus);
+            .run_corpus(&corpus, 1);
         let without_t = Cluster::new(Arc::new(bare_metal_sandbox), disabled)
             .with_limits(limits)
-            .run_corpus(&corpus);
+            .run_corpus(&corpus, 1);
         assert!(without_t.telemetry().is_none());
         // counting must never change what the dispatch returns
         assert_eq!(with_t.results(), without_t.results());

@@ -261,7 +261,7 @@ mod tests {
             Scarecrow::with_builtin_db(Config::default()),
         );
         let corpus: Vec<_> = malware_sim::malgene_corpus(5).into_iter().take(6).collect();
-        let report = cluster.run_corpus(&corpus);
+        let report = cluster.run_corpus(&corpus, 1);
         // telemetry is attached, yet `results` is the document's only key
         assert!(report.telemetry().is_some());
         let doc = Json::parse(report.to_json().pretty()).expect("valid JSON");

@@ -19,6 +19,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::LazyLock;
+
 use malware_sim::Technique;
 use winsim::env::{SCSI_KEY, SYSTEM_BIOS_KEY};
 use winsim::{Api, ProcessCtx};
@@ -100,8 +102,13 @@ pub struct Check {
     pub technique: Technique,
 }
 
-/// Builds all 56 checks in canonical execution order.
-pub fn all_checks() -> Vec<Check> {
+/// All 56 checks in canonical execution order, built on first use.
+pub fn all_checks() -> &'static [Check] {
+    static CHECKS: LazyLock<Vec<Check>> = LazyLock::new(build_checks);
+    &CHECKS
+}
+
+fn build_checks() -> Vec<Check> {
     use PafishCategory::*;
     use Technique as T;
     let s = |v: &str| v.to_owned();
@@ -272,11 +279,10 @@ impl PafishReport {
 
 /// Runs the full Pafish suite in the given process context.
 pub fn run_pafish(ctx: &mut ProcessCtx<'_>) -> PafishReport {
-    let checks = all_checks();
     let mut triggered = Vec::new();
     let mut per_category: Vec<(PafishCategory, usize, usize)> =
         PafishCategory::all().iter().map(|c| (*c, 0usize, 0usize)).collect();
-    for check in &checks {
+    for check in all_checks() {
         let hit = check.technique.probe(ctx);
         let row = per_category
             .iter_mut()

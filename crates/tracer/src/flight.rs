@@ -37,6 +37,7 @@
 //!   (`Machine::set_flight` / `Machine::take_flight`). The deception engine
 //!   never creates one.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -159,21 +160,23 @@ impl FlightHist {
 
 /// One deception trigger in a sample's attribution chain: the ordered
 /// record of *probed artifact → hooked API → profile handler → fabricated
-/// answer* (the machine-readable version of a Table I row).
+/// answer* (the machine-readable version of a Table I row). The recorder's
+/// copy of a `winsim::Decision`: the names are static, and the artifact
+/// and answer share the decision's text when it is a literal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributionStep {
     /// Virtual time of the probe, milliseconds.
     pub time_ms: u64,
     /// The probed artifact (path, registry key, process name, …).
-    pub artifact: String,
+    pub artifact: Cow<'static, str>,
     /// Resource category of the artifact (file, registry, debugger, …).
-    pub category: String,
+    pub category: &'static str,
     /// The hooked API the probe arrived through.
-    pub api: String,
+    pub api: &'static str,
     /// The deception profile handler that answered.
-    pub handler: String,
+    pub handler: &'static str,
     /// The fabricated answer returned to the sample.
-    pub answer: String,
+    pub answer: Cow<'static, str>,
 }
 
 /// The full attribution for one sample: why the verdict came out the way
@@ -215,7 +218,6 @@ pub struct FlightRecorder {
     total_spans: u64,
     next_id: u64,
     stack: Vec<OpenSpan>,
-    dispatch_started: Option<Instant>,
     corpus_index: u64,
     sample_name: String,
     current_steps: Vec<AttributionStep>,
@@ -243,7 +245,6 @@ impl FlightRecorder {
             total_spans: 0,
             next_id: 0,
             stack: Vec::new(),
-            dispatch_started: None,
             corpus_index: 0,
             sample_name: String::new(),
             current_steps: Vec::new(),
@@ -280,8 +281,10 @@ impl FlightRecorder {
     fn close(&mut self, end_ms: u64) {
         let Some(open) = self.stack.pop() else { return };
         let wall_ns = u64::try_from(open.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        if open.kind == SpanKind::HookChain {
-            self.record_hist(FlightHist::HookChain, wall_ns);
+        match open.kind {
+            SpanKind::ApiDispatch => self.record_hist(FlightHist::ApiDispatch, wall_ns),
+            SpanKind::HookChain => self.record_hist(FlightHist::HookChain, wall_ns),
+            _ => {}
         }
         let parent = self.stack.last().map(|s| s.id);
         let span = Span {
@@ -326,23 +329,9 @@ impl FlightRecorder {
         self.current_total_steps = 0;
     }
 
-    /// Marks entry into `Machine::call_api`: opens an `api_dispatch` span
-    /// and starts the wall-clock measurement for the dispatch histogram.
-    pub fn begin_dispatch(&mut self, api: &str, pid: u64, now_ms: u64) {
-        self.dispatch_started = Some(Instant::now());
-        self.open(SpanKind::ApiDispatch, api.to_owned(), pid, now_ms, String::new());
-    }
-
-    /// Marks exit from `Machine::call_api`; feeds the dispatch histogram.
-    pub fn end_dispatch(&mut self, now_ms: u64) {
-        self.close(now_ms);
-        if let Some(started) = self.dispatch_started.take() {
-            let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.record_hist(FlightHist::ApiDispatch, ns);
-        }
-    }
-
-    /// Opens a child span (hook chain / handler layers).
+    /// Opens a child span (API dispatch / hook chain / handler layers).
+    /// Closing an `api_dispatch` or `hook_chain` span feeds its wall-clock
+    /// cost to the matching histogram.
     pub fn begin_child(&mut self, kind: SpanKind, name: &str, pid: u64, now_ms: u64) {
         self.open(kind, name.to_owned(), pid, now_ms, String::new());
     }
@@ -352,46 +341,29 @@ impl FlightRecorder {
         self.close(now_ms);
     }
 
-    /// Records one deception decision: appended to the sample's
-    /// attribution chain (up to the cap) and recorded as a zero-length
-    /// `deception_decision` span.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_decision(
-        &mut self,
-        now_ms: u64,
-        pid: u64,
-        api: &str,
-        category: &str,
-        artifact: &str,
-        handler: &str,
-        answer: &str,
-    ) {
+    /// Records one deception decision made in process `pid`: recorded as
+    /// a zero-length `deception_decision` span and appended to the
+    /// sample's attribution chain (up to the cap).
+    pub fn record_decision(&mut self, pid: u64, step: AttributionStep) {
         self.current_total_steps += 1;
-        if self.current_steps.len() < MAX_CHAIN {
-            self.current_steps.push(AttributionStep {
-                time_ms: now_ms,
-                artifact: artifact.to_owned(),
-                category: category.to_owned(),
-                api: api.to_owned(),
-                handler: handler.to_owned(),
-                answer: answer.to_owned(),
-            });
-        }
         let id = self.next_id;
         self.next_id += 1;
         let span = Span {
             id,
             parent: self.stack.last().map(|s| s.id),
             kind: SpanKind::DeceptionDecision,
-            name: format!("{handler}:{api}"),
+            name: format!("{}:{}", step.handler, step.api),
             pid,
-            start_ms: now_ms,
-            end_ms: now_ms,
+            start_ms: step.time_ms,
+            end_ms: step.time_ms,
             wall_ns: 0,
             corpus_index: self.corpus_index,
-            detail: format!("{artifact} -> {answer}"),
+            detail: format!("{} -> {}", step.artifact, step.answer),
         };
         self.push_span(span);
+        if self.current_steps.len() < MAX_CHAIN {
+            self.current_steps.push(step);
+        }
     }
 
     /// Records a raw wall-clock observation into one of the recorder's
@@ -422,25 +394,6 @@ impl FlightRecorder {
             hists,
         }
     }
-
-    /// Clears all recorded data (between experiments on a reused
-    /// recorder).
-    pub fn reset(&mut self) {
-        self.spans.clear();
-        self.head = 0;
-        self.total_spans = 0;
-        self.next_id = 0;
-        self.stack.clear();
-        self.dispatch_started = None;
-        self.corpus_index = 0;
-        self.sample_name.clear();
-        self.current_steps.clear();
-        self.current_total_steps = 0;
-        self.attributions.clear();
-        for h in &mut self.hists {
-            *h = LatencyHistogram::new();
-        }
-    }
 }
 
 /// A frozen view of one or more [`FlightRecorder`]s.
@@ -463,14 +416,6 @@ pub struct FlightSnapshot {
 }
 
 impl FlightSnapshot {
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.attributions.is_empty()
-            && self.hists.is_empty()
-            && self.dropped_spans == 0
-    }
-
     /// Merges another worker's snapshot into this one, keeping corpus
     /// order.
     pub fn merge(&mut self, other: &FlightSnapshot) {
@@ -578,23 +523,26 @@ mod tests {
         )
     }
 
+    fn step(time_ms: u64, api: &'static str, handler: &'static str) -> AttributionStep {
+        AttributionStep {
+            time_ms,
+            artifact: Cow::Borrowed(api),
+            category: "debugger",
+            api,
+            handler,
+            answer: Cow::Borrowed("TRUE"),
+        }
+    }
+
     fn run_one_sample(rec: &mut FlightRecorder) {
         rec.begin_sample("deadbeef", 3, 0);
-        rec.begin_dispatch("IsDebuggerPresent", 7, 1);
+        rec.begin_child(SpanKind::ApiDispatch, "IsDebuggerPresent", 7, 1);
         rec.begin_child(SpanKind::HookChain, "scarecrow.dll", 7, 1);
         rec.begin_child(SpanKind::Handler, "scarecrow-engine", 7, 1);
-        rec.record_decision(
-            1,
-            7,
-            "IsDebuggerPresent",
-            "debugger",
-            "IsDebuggerPresent",
-            "debugger",
-            "TRUE",
-        );
+        rec.record_decision(7, step(1, "IsDebuggerPresent", "debugger"));
         rec.end_child(2);
         rec.end_child(2);
-        rec.end_dispatch(2);
+        rec.end_child(2);
         rec.end_sample(5, &verdict());
     }
 
@@ -625,6 +573,12 @@ mod tests {
         assert_eq!(sample.start_ms, 0);
         assert_eq!(sample.end_ms, 5);
         assert!(snap.spans.iter().all(|s| s.corpus_index == 3));
+        let decision = &snap.spans[0];
+        assert_eq!(decision.name, "debugger:IsDebuggerPresent");
+        assert_eq!(decision.detail, "IsDebuggerPresent -> TRUE");
+        // closing a dispatch or hook-chain span feeds its histogram
+        assert_eq!(snap.hists.get("api_dispatch_ns").map(|h| h.count()), Some(1));
+        assert_eq!(snap.hists.get("hook_chain_ns").map(|h| h.count()), Some(1));
     }
 
     #[test]
@@ -632,16 +586,14 @@ mod tests {
         let mut rec = FlightRecorder::new(FlightConfig::enabled());
         rec.begin_sample("feed", 0, 0);
         for i in 0..MAX_CHAIN as u64 + 3 {
-            rec.record_decision(i, 1, "RegOpenKeyExA", "registry", "HKLM\\VBOX", "vm", "fake");
+            rec.record_decision(1, step(i, "RegOpenKeyExA", "vm"));
         }
         rec.end_sample(99, &verdict());
         let snap = rec.snapshot();
         let a = snap.attribution_for("feed").unwrap();
         assert_eq!(a.total_steps, MAX_CHAIN as u64 + 3);
         assert_eq!(a.chain.len(), MAX_CHAIN);
-        assert_eq!(a.chain[0].artifact, "HKLM\\VBOX");
-        assert_eq!(a.chain[0].api, "RegOpenKeyExA");
-        assert_eq!(a.chain[0].handler, "vm");
+        assert_eq!(a.chain[0], step(0, "RegOpenKeyExA", "vm"));
         assert_eq!(a.chain[MAX_CHAIN - 1].time_ms, MAX_CHAIN as u64 - 1, "the first steps kept");
         assert!(a.verdict.contains("deactivated"));
     }
@@ -652,8 +604,8 @@ mod tests {
         rec.begin_sample("s", 0, 0);
         let dispatches = CAPACITY as u64 + 2;
         for i in 0..dispatches {
-            rec.begin_dispatch("CloseHandle", 1, i);
-            rec.end_dispatch(i + 1);
+            rec.begin_child(SpanKind::ApiDispatch, "CloseHandle", 1, i);
+            rec.end_child(i + 1);
         }
         rec.end_sample(dispatches + 1, &verdict());
         let snap = rec.snapshot();
@@ -697,14 +649,6 @@ mod tests {
         let merged = FlightSnapshot::merged([w1.snapshot(), w2.snapshot()]);
         assert_eq!(merged.hists.get("snapshot_restore_ns").unwrap().count(), 2);
         assert_eq!(merged.hists.get("hook_chain_ns").unwrap().count(), 1);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut rec = FlightRecorder::new(FlightConfig::enabled());
-        run_one_sample(&mut rec);
-        rec.reset();
-        assert!(rec.snapshot().is_empty());
     }
 
     #[test]

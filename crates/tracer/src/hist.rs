@@ -8,8 +8,8 @@
 //! computation (`leading_zeros`) and one increment, merging two histograms
 //! is element-wise summation exactly like
 //! [`TelemetrySnapshot::merge`](crate::TelemetrySnapshot::merge), so the
-//! histogram a parallel sweep merges from its workers equals the histogram
-//! a sequential sweep records.
+//! histogram an N-worker sweep merges from its workers equals the histogram
+//! a one-worker sweep records.
 //!
 //! Values are unit-agnostic `u64`s; the flight recorder stores wall-clock
 //! nanoseconds, the harness stages store wall-clock microseconds.

@@ -28,6 +28,7 @@
 //! assert_eq!(Json::parse(v.pretty()), Ok(v));
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -563,6 +564,18 @@ impl ToJson for str {
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
+    }
+}
+
+impl ToJson for Cow<'_, str> {
+    fn to_json(&self) -> Json {
+        Json::Str(self.to_string())
+    }
+}
+
+impl ToJson for &str {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
     }
 }
 

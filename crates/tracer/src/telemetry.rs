@@ -11,7 +11,7 @@
 //! [`Telemetry::snapshot`] freezes the counters into a serializable
 //! [`TelemetrySnapshot`]; snapshots from parallel workers [`merge`] by
 //! summation, so a corpus sweep across N threads aggregates to exactly the
-//! counts a sequential sweep records.
+//! counts a one-worker sweep records.
 //!
 //! [`merge`]: TelemetrySnapshot::merge
 //!

@@ -1,9 +1,10 @@
 //! The machine: processes + scheduler + API dispatch over a [`System`].
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
-use tracer::flight::{FlightHist, FlightRecorder, SpanKind};
+use tracer::flight::{AttributionStep, FlightHist, FlightRecorder, SpanKind};
 use tracer::{Counter, Event, EventKind, RegOp, Telemetry, Trace};
 
 use crate::api::{Api, ApiCall, ApiHook, HookTable};
@@ -89,8 +90,11 @@ pub struct Machine {
     deception: DeceptionRecord,
 }
 
-/// One deception decision: a hooked API answered a probe of `resource`
-/// with a value fabricated for `profile`.
+/// One deception decision — the fingerprinting event `scarecrow.dll`
+/// reports to `scarecrow.exe` (Section III-B): a hooked API answered a
+/// probe of `resource` with `answer`, fabricated for `profile`. The one
+/// record of a fabricated answer, from the rule that makes it to the report
+/// that prints it; a literal resource or answer costs no allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Decision {
     /// The hooked API that answered.
@@ -98,11 +102,36 @@ pub struct Decision {
     /// The probed resource's category.
     pub category: &'static str,
     /// The probed resource (path, name, key, domain, …).
-    pub resource: String,
+    pub resource: Cow<'static, str>,
     /// The profile whose planted resource answered.
     pub profile: &'static str,
+    /// Human-readable fabricated answer.
+    pub answer: Cow<'static, str>,
     /// Virtual time of the decision.
     pub time_ms: u64,
+}
+
+impl std::fmt::Display for Decision {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "[{} ms] {}() fingerprinted {} resource {:?} ({} profile)",
+            self.time_ms, self.api, self.category, self.resource, self.profile
+        )
+    }
+}
+
+impl From<&Decision> for AttributionStep {
+    fn from(d: &Decision) -> AttributionStep {
+        AttributionStep {
+            time_ms: d.time_ms,
+            artifact: d.resource.clone(),
+            category: d.category,
+            api: d.api.name(),
+            handler: d.profile,
+            answer: d.answer.clone(),
+        }
+    }
 }
 
 /// The deception state of one run, owned by the machine that runs it:
@@ -247,30 +276,19 @@ impl Machine {
         std::mem::take(&mut self.deception)
     }
 
-    /// Records one deception decision, the one path every decision takes:
-    /// it appends the decision to the run's [`DeceptionRecord`], counts it
-    /// on the attached telemetry recorder, and adds its attribution step
-    /// (probed artifact → hooked API → handler → fabricated answer) to the
-    /// attached flight recorder.
-    pub fn record_decision(
-        &mut self,
-        pid: Pid,
-        api: Api,
-        category: &'static str,
-        resource: &str,
-        profile: &'static str,
-        answer: &str,
-    ) {
-        let time_ms = self.sys.clock.now_ms();
+    /// Records one deception decision made in process `pid`, the one path
+    /// every decision takes: it counts the decision on the attached
+    /// telemetry recorder, adds its attribution step (probed artifact →
+    /// hooked API → handler → fabricated answer) to the attached flight
+    /// recorder, and moves it into the run's [`DeceptionRecord`].
+    pub fn record_decision(&mut self, pid: Pid, decision: Decision) {
         if let Some(t) = &self.telemetry {
-            t.record_deception(api as usize, profile);
+            t.record_deception(decision.api as usize, decision.profile);
         }
         if let Some(f) = self.flight.as_mut() {
-            let pid = u64::from(pid);
-            f.record_decision(time_ms, pid, api.name(), category, resource, profile, answer);
+            f.record_decision(u64::from(pid), AttributionStep::from(&decision));
         }
-        let resource = resource.to_owned();
-        self.deception.decisions.push(Decision { api, category, resource, profile, time_ms });
+        self.deception.decisions.push(decision);
     }
 
     /// Records a raw wall-clock observation into one of the recorder's
@@ -506,13 +524,9 @@ impl Machine {
         if let Some(t) = &self.telemetry {
             t.record_api(api as usize, API_CALL_COST_MS);
         }
-        if let Some(f) = self.flight.as_mut() {
-            f.begin_dispatch(api.name(), u64::from(pid), self.sys.clock.now_ms());
-        }
+        self.flight_begin(SpanKind::ApiDispatch, api.name(), pid);
         let value = self.dispatch_api(pid, api, args);
-        if let Some(f) = self.flight.as_mut() {
-            f.end_dispatch(self.sys.clock.now_ms());
-        }
+        self.flight_end();
         value
     }
 
@@ -1358,21 +1372,27 @@ mod tests {
         let mut flight = FlightRecorder::new(FlightConfig::enabled());
         flight.begin_sample("probe.exe", 0, 0);
         m.set_flight(Some(flight));
-        m.record_decision(pid, Api::RegOpenKeyEx, "registry", r"HKLM\VMW", "VMware", "ok");
-        m.deception_mut().committed_profile = Some("VMware");
-        m.deception_mut().spawn_counts.insert("probe.exe".into(), 3);
         let decision = Decision {
             api: Api::RegOpenKeyEx,
             category: "registry",
             resource: r"HKLM\VMW".into(),
             profile: "VMware",
+            answer: "ok".into(),
             time_ms: m.system().clock.now_ms(),
         };
-        assert_eq!(m.deception().decisions(), [decision]);
+        m.record_decision(pid, decision.clone());
+        m.deception_mut().committed_profile = Some("VMware");
+        m.deception_mut().spawn_counts.insert("probe.exe".into(), 3);
+        assert_eq!(m.deception().decisions(), std::slice::from_ref(&decision));
+        assert_eq!(
+            decision.to_string(),
+            r#"[0 ms] RegOpenKeyEx() fingerprinted registry resource "HKLM\\VMW" (VMware profile)"#
+        );
         assert_eq!(telemetry.snapshot().counter(Counter::DeceptionTriggers), 1);
         let mut flight = m.take_flight().unwrap();
         flight.end_sample(m.system().clock.now_ms(), &tracer::Verdict::Indeterminate);
         let attribution = flight.snapshot().attribution_for("probe.exe").cloned().unwrap();
+        assert_eq!(attribution.chain, [AttributionStep::from(&decision)]);
         assert_eq!(attribution.chain[0].answer, "ok");
         // a snapshot never carries a run's record into the next run
         let fresh = MachineSnapshot::capture(&m).instantiate();

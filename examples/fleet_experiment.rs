@@ -25,7 +25,7 @@ fn main() {
     let engine = Scarecrow::builder(Config::default()).db(ResourceDb::builtin()).build();
     let cluster = Cluster::new(Arc::new(bare_metal_sandbox), engine)
         .with_limits(RunLimits { budget_ms: 60_000, max_processes: 100 });
-    let report = cluster.run_corpus_parallel(&corpus, workers);
+    let report = cluster.run_corpus(&corpus, workers);
 
     println!(
         "\ndeactivated: {}/{} ({:.2}%)   self-spawn loops: {}   via IsDebuggerPresent: {}",

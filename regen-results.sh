@@ -1,7 +1,8 @@
 #!/bin/sh
 # Regenerates every table/figure artifact into results/, or gates a change.
 #
-#   ./regen-results.sh              # regenerate results/*.txt and results/*.json
+#   ./regen-results.sh              # regenerate results/*.txt, results/*.json
+#                                   # and the Figure 4 attribution digest
 #   ./regen-results.sh --check      # CI gate: no crate dependency its
 #                                   # code does not name, cargo fmt
 #                                   # --check, clippy
@@ -13,7 +14,9 @@
 #                                   # seven JSON artifacts, the two golden
 #                                   # attribution sidecars and the golden
 #                                   # `scarecrowctl rules --json` listing
-#                                   # byte-equal to results/, and the
+#                                   # byte-equal to results/, the SHA-256
+#                                   # of Figure 4's attribution sidecar
+#                                   # equal to the committed digest, the
 #                                   # telemetry / flight / rules sidecars
 #                                   # present with their schema keys, and
 #                                   # every examples/*.rs built and run to
@@ -28,6 +31,13 @@ json_artifacts="table1 table2 table3 figure4 case_studies benign_impact figure5_
 # `scarecrowctl explain case:kasidet` (both on the virtual clock), and the
 # default configuration's rule listing, `scarecrowctl rules --json`
 golden_sidecars="table1_attribution scarecrowctl_attribution scarecrowctl_rules"
+# Figure 4's attribution sidecar (every sample's deception chain, ~3.6 MB)
+# is gated by its SHA-256 rather than committed whole
+figure4_digest="results/figure4_attribution.sha256"
+
+sha256() {
+    sha256sum "$1" | cut -d' ' -f1
+}
 
 require_sidecar() {
     if [ ! -s "$1" ]; then
@@ -157,6 +167,8 @@ if [ "${1:-}" = "--check" ]; then
     for b in $json_artifacts $golden_sidecars; do
         require_same "$check_dir/$b.json" "results/$b.json"
     done
+    sha256 "$check_dir/figure4_attribution.json" >"$check_dir/figure4_attribution.sha256"
+    require_same "$check_dir/figure4_attribution.sha256" "$figure4_digest"
     echo "check passed"
     exit 0
 fi
@@ -174,3 +186,4 @@ SCARECROW_RESULTS_DIR="$out_dir" ./target/release/scarecrowctl rules --json >/de
 for b in $json_artifacts $golden_sidecars; do
     cp "$out_dir/$b.json" "results/$b.json"
 done
+sha256 "$out_dir/figure4_attribution.json" >"$figure4_digest"

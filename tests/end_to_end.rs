@@ -166,8 +166,8 @@ fn indeterminate_samples_do_not_count_as_wins() {
 fn corpus_subset_runs_deterministically() {
     let corpus: Vec<_> = malware_sim::malgene_corpus(77).into_iter().take(30).collect();
     let limits = RunLimits { budget_ms: 60_000, max_processes: 40 };
-    let a = default_cluster().with_limits(limits).run_corpus(&corpus);
-    let b = default_cluster().with_limits(limits).run_corpus(&corpus);
+    let a = default_cluster().with_limits(limits).run_corpus(&corpus, 1);
+    let b = default_cluster().with_limits(limits).run_corpus(&corpus, 4);
     assert_eq!(a.deactivated(), b.deactivated());
     for (x, y) in a.results().iter().zip(b.results()) {
         assert_eq!(x.verdict, y.verdict, "{}", x.md5);
@@ -243,5 +243,5 @@ fn triggers_report_the_paper_style_first_cause() {
     let run = engine.run_protected(&mut m, "joe_9437eab.exe").unwrap();
     let first = run.first_trigger().unwrap();
     assert_eq!(first.api, winsim::Api::NtQueryValueKey);
-    assert_eq!(first.category, scarecrow::Category::Registry);
+    assert_eq!(first.category, scarecrow::Category::Registry.name());
 }

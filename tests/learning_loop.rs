@@ -107,7 +107,7 @@ fn learning_loop_works_for_file_probes_too() {
     m.register_program(sample.into_program());
     let run = engine.run_protected(&mut m, "novelfile.exe").unwrap();
     assert!(run.trace.significant_activities().is_empty());
-    assert!(run.triggers.iter().any(|t| t.profile == Profile::Learned));
+    assert!(run.triggers.iter().any(|t| t.profile == Profile::Learned.name()));
 }
 
 #[test]
