@@ -146,7 +146,7 @@ impl DeceptionHook {
 impl ApiHook for DeceptionHook {
     /// The injected DLL's name, so the trampoline's `hook_chain` span
     /// names `scarecrow.dll`.
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         crate::DLL_NAME
     }
 

@@ -306,7 +306,7 @@ impl RuleSet {
                 Outcome::Pass => {}
                 Outcome::Done(value) => return value,
                 Outcome::Deceive(d, value) => {
-                    let (pid, profile) = (call.pid, d.profile);
+                    let profile = d.profile;
                     let decision = Decision {
                         api: call.api,
                         category: d.category.name(),
@@ -316,7 +316,7 @@ impl RuleSet {
                         time_ms: call.machine_ref().system().clock.now_ms(),
                     };
                     let m = call.machine();
-                    m.record_decision(pid, decision);
+                    m.record_decision(decision);
                     if cfg.exclusive_profiles && profile.commits() {
                         m.deception_mut().committed_profile.get_or_insert(profile.name());
                     }

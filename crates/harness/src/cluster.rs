@@ -7,8 +7,8 @@ use std::time::Instant;
 use malware_sim::CorpusSample;
 use scarecrow::{ProtectedRun, Scarecrow};
 use tracer::{
-    Counter, FlightConfig, FlightHist, FlightRecorder, FlightSnapshot, Stage, Telemetry,
-    TelemetrySnapshot, Trace, Verdict,
+    Counter, FlightConfig, FlightRecorder, FlightSnapshot, Stage, Telemetry, TelemetrySnapshot,
+    Trace, Verdict,
 };
 use winsim::{Machine, MachineSnapshot, Program};
 
@@ -173,11 +173,6 @@ impl Cluster {
         m.max_processes = self.limits.max_processes;
         m.set_telemetry(self.engine.telemetry().cloned());
         self.record_stage(Stage::MachineReset, started);
-        if self.reset == ResetStrategy::Snapshot {
-            if let Some(f) = self.recorder().as_mut() {
-                f.record_hist(FlightHist::SnapshotRestore, started.elapsed().as_nanos() as u64);
-            }
-        }
         m
     }
 
@@ -347,7 +342,7 @@ mod tests {
     use malware_sim::samples::joe::joe_samples;
     use malware_sim::{malgene_corpus, SampleClass};
     use scarecrow::Config;
-    use tracer::ToJson;
+    use tracer::{Span, ToJson};
     use winsim::env::{bare_metal_sandbox, end_user_machine, vm_sandbox};
     use winsim::DriveInfo;
 
@@ -559,7 +554,8 @@ mod tests {
     #[test]
     fn flight_attribution_is_deterministic_across_parallel_sweeps() {
         let corpus: Vec<_> = malgene_corpus(3).into_iter().take(12).collect();
-        let limits = RunLimits { budget_ms: 60_000, max_processes: 60 };
+        // loopers of 600 copies record about 4,800 spans each
+        let limits = RunLimits { budget_ms: 60_000, max_processes: 600 };
         let c = cluster().with_limits(limits).with_flight(FlightConfig::enabled());
         let seq = c.run_corpus(&corpus, 1);
         let par = c.run_corpus(&corpus, 4);
@@ -569,20 +565,37 @@ mod tests {
         // merge re-sorts worker data into corpus order; virtual-clock
         // timestamps make the chains byte-identical to the one-worker sweep
         assert_eq!(fs.attributions, fp.attributions);
-        assert!(!fs.spans.is_empty());
         assert!(fs.hists.contains_key("api_dispatch_ns"));
-        assert!(fs.hists.contains_key("snapshot_restore_ns"));
         // every sample keyed by md5 is findable (the explain path)
         assert!(fs.attribution_for(&corpus[0].md5).is_some());
-        // a factory rebuild is not a snapshot restore
-        let rebuild = cluster()
-            .with_limits(limits)
-            .with_flight(FlightConfig::enabled())
-            .with_reset_strategy(ResetStrategy::FactoryRebuild);
-        let fr = rebuild.run_corpus(&corpus, 1);
-        let fr = fr.flight().expect("flight enabled");
-        assert!(fr.hists.contains_key("api_dispatch_ns"));
-        assert!(!fr.hists.contains_key("snapshot_restore_ns"));
+        // the slice overflows the span capacity, and both sweeps keep the
+        // same whole samples: equal spans once the wall clock is zeroed
+        assert!(fs.dropped_spans > 0);
+        assert_eq!(fs.dropped_spans, fp.dropped_spans);
+        let virtual_spans = |f: &FlightSnapshot| -> Vec<Span> {
+            f.spans.iter().cloned().map(|s| Span { wall_ns: 0, ..s }).collect()
+        };
+        assert_eq!(virtual_spans(fs), virtual_spans(fp));
+    }
+
+    #[test]
+    fn a_looper_larger_than_the_span_capacity_is_kept_whole() {
+        let corpus = malgene_corpus(3);
+        let looper = corpus.iter().find(|s| s.class == SampleClass::SelfSpawner).unwrap();
+        // each self-spawned copy adds about eight spans
+        let c = cluster()
+            .with_limits(RunLimits { budget_ms: 60_000, max_processes: 1_200 })
+            .with_flight(FlightConfig::enabled());
+        let program = looper.sample.clone().into_program();
+        let image = program.image_name().to_owned();
+        assert!(c.run_pair(program).verdict.is_self_spawn_loop());
+        let snap = c.flight_snapshot().expect("armed");
+        assert!(snap.spans.len() > tracer::flight::SPAN_CAPACITY, "{} spans", snap.spans.len());
+        assert_eq!(snap.dropped_spans, 0);
+        let root = &snap.spans[0];
+        assert_eq!((root.kind, root.id, root.parent), (tracer::SpanKind::Sample, 0, None));
+        assert_eq!(root.name, image);
+        assert_eq!(snap.spans.last().unwrap().id, snap.spans.len() as u64 - 1);
     }
 
     #[test]

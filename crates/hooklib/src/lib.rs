@@ -207,7 +207,7 @@ impl FollowChildrenHook {
 }
 
 impl ApiHook for FollowChildrenHook {
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "injector-follow"
     }
 
@@ -234,7 +234,7 @@ mod tests {
     /// Returns `true` from `IsDebuggerPresent`, like scarecrow.dll.
     struct LieAboutDebugger;
     impl ApiHook for LieAboutDebugger {
-        fn label(&self) -> &str {
+        fn label(&self) -> &'static str {
             "lie-about-debugger"
         }
         fn invoke(&self, _call: &mut ApiCall<'_>) -> Value {
@@ -388,7 +388,7 @@ mod tests {
         assert_eq!(telemetry.snapshot().counter(Counter::HookHits), 2);
         let snap = m.take_flight().unwrap().snapshot();
         let chain: Vec<_> = snap.spans.iter().filter(|s| s.kind == SpanKind::HookChain).collect();
-        let names: Vec<&str> = chain.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = chain.iter().map(|s| &*s.name).collect();
         assert_eq!(names.len(), 2);
         assert!(names.contains(&"hook") && names.contains(&"lie-about-debugger"), "{names:?}");
         // the DLL hook runs inside the autoinject hook's span

@@ -56,7 +56,7 @@ pub use flight::{
 };
 pub use hist::{LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use json::{Json, JsonError, ToJson};
-pub use stats::{aggregate, TraceStats};
+pub use stats::TraceStats;
 pub use telemetry::{
     Counter, DeterministicTelemetry, Stage, StageStat, Telemetry, TelemetrySnapshot,
     WallClockTelemetry,

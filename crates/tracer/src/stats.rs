@@ -82,23 +82,6 @@ impl TraceStats {
     }
 }
 
-/// Convenience: aggregate statistics across many traces.
-pub fn aggregate<'a, I: IntoIterator<Item = &'a Trace>>(traces: I) -> TraceStats {
-    let mut out = TraceStats::default();
-    for t in traces {
-        let s = TraceStats::of(t);
-        for (tag, n) in s.by_tag {
-            *out.by_tag.entry(tag).or_default() += n;
-        }
-        out.total += s.total;
-        out.duration_ms = out.duration_ms.max(s.duration_ms);
-        out.distinct_pids += s.distinct_pids;
-        out.significant += s.significant;
-        out.self_spawns += s.self_spawns;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,14 +116,5 @@ mod tests {
         assert!((s.query_ratio() - 2.0 / 3.0).abs() < 1e-9);
         let empty = TraceStats::of(&Trace::new("m.exe"));
         assert_eq!(empty.query_ratio(), 0.0);
-    }
-
-    #[test]
-    fn aggregation_sums_tags() {
-        let a = sample_trace();
-        let b = sample_trace();
-        let agg = aggregate([&a, &b]);
-        assert_eq!(agg.total, 6);
-        assert_eq!(agg.count("registry"), 2);
     }
 }

@@ -279,7 +279,7 @@ impl std::fmt::Display for Api {
 /// real inline hook has.
 pub trait ApiHook: Send + Sync {
     /// Short label naming the hook's `hook_chain` flight span.
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "hook"
     }
 

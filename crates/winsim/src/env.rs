@@ -325,7 +325,7 @@ pub fn bare_metal_sandbox() -> Machine {
 /// without Scarecrow).
 struct CuckooMonitorHook;
 impl ApiHook for CuckooMonitorHook {
-    fn label(&self) -> &str {
+    fn label(&self) -> &'static str {
         "cuckoo-monitor"
     }
     fn invoke(&self, call: &mut ApiCall<'_>) -> Value {

@@ -247,7 +247,7 @@ impl Machine {
     /// Opens a child span (hook chain / handler) at the current virtual
     /// time. One branch when no recorder is attached.
     #[inline]
-    pub fn flight_begin(&mut self, kind: SpanKind, name: &str, pid: Pid) {
+    pub fn flight_begin(&mut self, kind: SpanKind, name: &'static str, pid: Pid) {
         if let Some(f) = self.flight.as_mut() {
             f.begin_child(kind, name, u64::from(pid), self.sys.clock.now_ms());
         }
@@ -276,17 +276,17 @@ impl Machine {
         std::mem::take(&mut self.deception)
     }
 
-    /// Records one deception decision made in process `pid`, the one path
-    /// every decision takes: it counts the decision on the attached
-    /// telemetry recorder, adds its attribution step (probed artifact →
-    /// hooked API → handler → fabricated answer) to the attached flight
-    /// recorder, and moves it into the run's [`DeceptionRecord`].
-    pub fn record_decision(&mut self, pid: Pid, decision: Decision) {
+    /// Records one deception decision, the one path every decision takes:
+    /// it counts the decision on the attached telemetry recorder, counts it
+    /// on the attached flight recorder (which copies it into the sample's
+    /// attribution chain only while the chain is under its cap), and moves
+    /// it into the run's [`DeceptionRecord`].
+    pub fn record_decision(&mut self, decision: Decision) {
         if let Some(t) = &self.telemetry {
             t.record_deception(decision.api as usize, decision.profile);
         }
         if let Some(f) = self.flight.as_mut() {
-            f.record_decision(u64::from(pid), AttributionStep::from(&decision));
+            f.record_decision(|| AttributionStep::from(&decision));
         }
         self.deception.decisions.push(decision);
     }
@@ -1258,7 +1258,7 @@ mod tests {
     fn call_original_reaches_the_default_impl() {
         struct PassThrough;
         impl ApiHook for PassThrough {
-            fn label(&self) -> &str {
+            fn label(&self) -> &'static str {
                 "pass"
             }
             fn invoke(&self, call: &mut ApiCall<'_>) -> Value {
@@ -1366,7 +1366,6 @@ mod tests {
     fn record_decision_is_the_one_write_path() {
         use tracer::flight::FlightConfig;
         let mut m = machine();
-        let pid = m.add_system_process("probe.exe");
         let telemetry = Arc::new(Telemetry::new(Api::telemetry_slot_names(), ["VMware"]));
         m.set_telemetry(Some(Arc::clone(&telemetry)));
         let mut flight = FlightRecorder::new(FlightConfig::enabled());
@@ -1380,7 +1379,7 @@ mod tests {
             answer: "ok".into(),
             time_ms: m.system().clock.now_ms(),
         };
-        m.record_decision(pid, decision.clone());
+        m.record_decision(decision.clone());
         m.deception_mut().committed_profile = Some("VMware");
         m.deception_mut().spawn_counts.insert("probe.exe".into(), 3);
         assert_eq!(m.deception().decisions(), std::slice::from_ref(&decision));

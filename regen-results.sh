@@ -2,7 +2,8 @@
 # Regenerates every table/figure artifact into results/, or gates a change.
 #
 #   ./regen-results.sh              # regenerate results/*.txt, results/*.json
-#                                   # and the Figure 4 attribution digest
+#                                   # and the Figure 4 attribution and trace
+#                                   # digests
 #   ./regen-results.sh --check      # CI gate: no crate dependency its
 #                                   # code does not name, cargo fmt
 #                                   # --check, clippy
@@ -16,7 +17,9 @@
 #                                   # `scarecrowctl rules --json` listing
 #                                   # byte-equal to results/, the SHA-256
 #                                   # of Figure 4's attribution sidecar
-#                                   # equal to the committed digest, the
+#                                   # and of its trace sidecar (wall-clock
+#                                   # costs zeroed) equal to the committed
+#                                   # digests, the
 #                                   # telemetry / flight / rules sidecars
 #                                   # present with their schema keys, and
 #                                   # every examples/*.rs built and run to
@@ -34,9 +37,17 @@ golden_sidecars="table1_attribution scarecrowctl_attribution scarecrowctl_rules"
 # Figure 4's attribution sidecar (every sample's deception chain, ~3.6 MB)
 # is gated by its SHA-256 rather than committed whole
 figure4_digest="results/figure4_attribution.sha256"
+# and so is its Chrome trace, once each span's wall-clock cost is zeroed:
+# the recorder keeps the same whole samples for any worker count
+figure4_trace_digest="results/figure4_trace.sha256"
 
 sha256() {
     sha256sum "$1" | cut -d' ' -f1
+}
+
+# the SHA-256 of a Chrome trace with its run-to-run `wall_ns` values zeroed
+trace_sha256() {
+    sed 's/"wall_ns":[0-9]*/"wall_ns":0/g' "$1" | sha256sum | cut -d' ' -f1
 }
 
 require_sidecar() {
@@ -143,9 +154,7 @@ if [ "${1:-}" = "--check" ]; then
         require_key "$check_dir/$f.json" '"wall"'
     done
     # flight-recorder sidecar schemas: Chrome traces must carry the
-    # traceEvents array, attribution files the v1 schema tag + chains.
-    # figure4_trace is checked for its schema only: its contents depend on
-    # which samples each worker's span ring keeps, which varies run to run
+    # traceEvents array, attribution files the v1 schema tag + chains
     for f in table1_trace figure4_trace scarecrowctl_trace; do
         require_key "$check_dir/$f.json" '"traceEvents"'
     done
@@ -169,6 +178,8 @@ if [ "${1:-}" = "--check" ]; then
     done
     sha256 "$check_dir/figure4_attribution.json" >"$check_dir/figure4_attribution.sha256"
     require_same "$check_dir/figure4_attribution.sha256" "$figure4_digest"
+    trace_sha256 "$check_dir/figure4_trace.json" >"$check_dir/figure4_trace.sha256"
+    require_same "$check_dir/figure4_trace.sha256" "$figure4_trace_digest"
     echo "check passed"
     exit 0
 fi
@@ -187,3 +198,4 @@ for b in $json_artifacts $golden_sidecars; do
     cp "$out_dir/$b.json" "results/$b.json"
 done
 sha256 "$out_dir/figure4_attribution.json" >"$figure4_digest"
+trace_sha256 "$out_dir/figure4_trace.json" >"$figure4_trace_digest"
