@@ -226,7 +226,7 @@ mod tests {
         inv.processes.insert("agent.py".to_owned());
         inv.reg_keys.insert(r"HKLM\SOFTWARE\CuckooInstall".to_owned());
         extend_db(&mut db, &inv);
-        assert_eq!(db.file(r"C:\cuckoo\x.py"), Some(Profile::PublicSandbox));
+        assert_eq!(db.file(r"C:\cuckoo\x.py").next(), Some(Profile::PublicSandbox));
         assert_eq!(db.process("AGENT.PY"), Some(Profile::PublicSandbox));
         assert_eq!(db.reg_key(r"hklm\software\cuckooinstall"), Some(Profile::PublicSandbox));
     }

@@ -16,12 +16,11 @@ use std::sync::{Arc, RwLock};
 
 use tracer::SpanKind;
 use winsim::env as wenv;
-use winsim::{ApiCall, ApiHook, Glob, Value};
+use winsim::{ApiCall, ApiHook, Value};
 
 use crate::config::{Config, WearTearFakes};
-use crate::profiles::Profile;
 use crate::resources::ResourceDb;
-use crate::rules::{Live, RuleSet};
+use crate::rules::RuleSet;
 
 /// The data shared by the controller and every injected DLL instance; it
 /// holds nothing about any one run.
@@ -119,16 +118,6 @@ impl EngineState {
             _ => subkeys.or(values),
         }
     }
-
-    /// Deceptive files matching a `FindFirstFile` glob, of `live`
-    /// profiles only.
-    pub(crate) fn db_files_matching(&self, glob: &Glob, live: Live) -> Vec<(String, Profile)> {
-        self.db
-            .files_iter()
-            .filter(|(path, profile)| live.admits(*profile) && glob.matches(path))
-            .map(|(path, profile)| (path.to_owned(), profile))
-            .collect()
-    }
 }
 
 /// The single dispatcher installed on every hooked API.
@@ -163,6 +152,7 @@ impl ApiHook for DeceptionHook {
 mod tests {
     use super::*;
     use crate::resources::Category;
+    use crate::Profile;
     use std::collections::HashSet;
     use std::sync::Arc;
     use winsim::{args, Api, Decision, Machine, NtStatus, Pid, System};
@@ -408,6 +398,27 @@ mod tests {
             args![r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions"],
         );
         assert_eq!(v.as_status(), NtStatus::ObjectNameNotFound);
+    }
+
+    #[test]
+    fn exclusive_folder_probes_answer_with_the_committed_profile() {
+        let cfg = Config { exclusive_profiles: true, ..Config::default() };
+        for _ in 0..16 {
+            let state = Arc::new(EngineState::new(cfg.clone(), Arc::new(ResourceDb::builtin())));
+            let (mut m, pid) = hooked_machine(&state);
+            let vbox = r"HKLM\SOFTWARE\Oracle\VirtualBox Guest Additions";
+            assert_eq!(
+                m.call_api(pid, Api::RegOpenKeyEx, args![vbox]).as_status(),
+                NtStatus::Success
+            );
+            assert_eq!(m.deception().committed_profile, Some("VirtualBox"));
+            // the first entry under drivers is VMware's, now silenced; a
+            // VirtualBox driver under the same folder still answers
+            let drivers = r"C:\Windows\System32\drivers";
+            assert_eq!(m.call_api(pid, Api::GetFileAttributes, args![drivers]), Value::U64(0x80));
+            let last = take_triggers(&mut m).pop().unwrap();
+            assert_eq!((last.api, last.profile), (Api::GetFileAttributes, "VirtualBox"));
+        }
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //!
 //! Each [`malgene::EvasionSignature`] names one environment resource that
 //! real malware keyed an evasion decision on. Resources Scarecrow does not
-//! yet fake are added to the [`ResourceDb`] under [`Profile::Learned`];
-//! resource *classes* the engine already deceives wholesale (debugger
-//! presence, hardware configuration, DNS sinkholing) are reported as
-//! already covered.
+//! yet fake are added to the [`ResourceDb`] under
+//! [`Profile::Learned`](crate::Profile::Learned); resource *classes* the
+//! engine already deceives wholesale (debugger presence, hardware
+//! configuration, DNS sinkholing) are reported as already covered.
 
 use malgene::{EvasionSignature, SignatureKind};
 
-use crate::profiles::Profile;
+use crate::profiles::Profile::Learned;
 use crate::resources::ResourceDb;
 
 /// Marker data installed for learned registry values: combining multiple
@@ -32,52 +32,40 @@ pub enum LearnOutcome {
     CoveredByCategory,
 }
 
+/// [`LearnOutcome::AlreadyKnown`] if `known`, else runs `add` and reports
+/// [`LearnOutcome::Added`].
+fn learned(known: bool, add: impl FnOnce()) -> LearnOutcome {
+    if known {
+        return LearnOutcome::AlreadyKnown;
+    }
+    add();
+    LearnOutcome::Added
+}
+
 impl ResourceDb {
     /// Incorporates a MalGene evasion signature.
     pub fn learn(&mut self, sig: &EvasionSignature) -> LearnOutcome {
         match &sig.kind {
             SignatureKind::RegistryKey(key) => {
-                if self.reg_key(key).is_some() {
-                    LearnOutcome::AlreadyKnown
-                } else {
-                    self.add_reg_key(key, Profile::Learned);
-                    LearnOutcome::Added
-                }
+                learned(self.reg_key(key).is_some(), || self.add_reg_key(key, Learned))
             }
             SignatureKind::RegistryValue { key, name } => {
-                if self.reg_value(key, name).is_some() {
-                    LearnOutcome::AlreadyKnown
-                } else {
-                    self.add_reg_value(key, name, LEARNED_VALUE_DATA, Profile::Learned);
-                    LearnOutcome::Added
-                }
+                learned(self.reg_value(key, name).is_some(), || {
+                    self.add_reg_value(key, name, LEARNED_VALUE_DATA, Learned)
+                })
             }
             SignatureKind::File(path) => {
-                if self.file(path).is_some() {
-                    LearnOutcome::AlreadyKnown
-                } else {
-                    self.add_file(path, Profile::Learned);
-                    LearnOutcome::Added
-                }
+                let known = self.file(path).next().is_some();
+                learned(known, || self.add_file(path, Learned))
             }
             SignatureKind::Module(name) => {
-                if self.dll(name).is_some() {
-                    LearnOutcome::AlreadyKnown
-                } else {
-                    self.add_dll(name, Profile::Learned);
-                    LearnOutcome::Added
-                }
+                learned(self.dll(name).is_some(), || self.add_dll(name, Learned))
             }
             SignatureKind::Window(class_title) => {
                 let class = class_title.split('|').next().unwrap_or(class_title);
                 let title = class_title.split('|').nth(1).unwrap_or("");
                 let probe = if class.is_empty() { title } else { class };
-                if self.window(probe).is_some() {
-                    LearnOutcome::AlreadyKnown
-                } else {
-                    self.add_window(probe, Profile::Learned);
-                    LearnOutcome::Added
-                }
+                learned(self.window(probe).is_some(), || self.add_window(probe, Learned))
             }
             // these classes are answered by the always-on hooks, not by
             // database entries
@@ -100,6 +88,7 @@ impl ResourceDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Profile;
 
     fn sig(kind: SignatureKind) -> EvasionSignature {
         EvasionSignature { kind, probe_index: 0, deviation_index: 1 }
@@ -120,7 +109,10 @@ mod tests {
         let s = sig(SignatureKind::File(r"C:\Windows\System32\drivers\vmmouse.sys".into()));
         assert_eq!(db.learn(&s), LearnOutcome::AlreadyKnown);
         // profile stays what the curated core said
-        assert_eq!(db.file(r"C:\Windows\System32\drivers\vmmouse.sys"), Some(Profile::VMware));
+        assert_eq!(
+            db.file(r"C:\Windows\System32\drivers\vmmouse.sys").next(),
+            Some(Profile::VMware)
+        );
     }
 
     #[test]

@@ -71,5 +71,5 @@ pub use config::{Config, ConfigError, WearTearFakes};
 pub use controller::{ProtectedRun, Scarecrow, ScarecrowBuilder, CONTROLLER_IMAGE, DLL_NAME};
 pub use learning::{LearnOutcome, LEARNED_VALUE_DATA};
 pub use profiles::Profile;
-pub use resources::{Category, ResourceDb, ResourceStats};
+pub use resources::{Category, Entry, ResourceDb, ResourceStats};
 pub use summary::TriggerSummary;

@@ -86,50 +86,86 @@ pub struct ResourceStats {
     pub reg_values: usize,
 }
 
-/// The deceptive resource database.
+/// One deceptive resource: its name as first added, the profile that
+/// plants it, and the data it answers with (a registry value's data).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Entry<D = ()> {
+    /// The resource as first spelled — what a listing shows.
+    pub name: String,
+    /// The profile whose environment the resource belongs to.
+    pub profile: Profile,
+    /// The normalized key lookups match.
+    key: String,
+    data: D,
+}
+
+/// One kind of deceptive resource: its entries in first-added order and
+/// an index from each entry's normalized key to its position.
+#[derive(Debug, Clone, Default)]
+struct Table<D = ()> {
+    entries: Vec<Entry<D>>,
+    index: HashMap<String, usize>,
+}
+
+impl<D: Clone> Table<D> {
+    /// Adds an entry under its normalized `key`; a re-add keeps the first
+    /// spelling and position and takes the new profile and data.
+    fn add(&mut self, key: String, name: &str, profile: Profile, data: D) {
+        if let Some(&i) = self.index.get(&key) {
+            let e = &mut self.entries[i];
+            (e.profile, e.data) = (profile, data);
+            return;
+        }
+        self.index.insert(key.clone(), self.entries.len());
+        self.entries.push(Entry { name: name.to_owned(), profile, key, data });
+    }
+
+    fn get(&self, key: &str) -> Option<&Entry<D>> {
+        self.index.get(key).map(|&i| &self.entries[i])
+    }
+
+    fn profile(&self, key: &str) -> Option<Profile> {
+        self.get(key).map(|e| e.profile)
+    }
+
+    /// The entries of the `keep` profiles, in the same order.
+    fn filter(&self, keep: &[Profile]) -> Table<D> {
+        let mut out = Table { entries: Vec::new(), index: HashMap::new() };
+        for e in self.entries.iter().filter(|e| keep.contains(&e.profile)) {
+            out.add(e.key.clone(), &e.name, e.profile, e.data.clone());
+        }
+        out
+    }
+}
+
+/// The deceptive resource database: one table per resource kind, each
+/// keeping its entries in first-added order.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceDb {
-    files: HashMap<String, Profile>,
-    devices: HashMap<String, Profile>,
-    /// Deceptive processes in first-added order; `process_index` maps each
-    /// lower-cased name to its entry, so a profile is stored once.
-    processes: Vec<(String, Profile)>,
-    process_index: HashMap<String, usize>,
-    /// Deceptive DLLs, stored like the processes.
-    dlls: Vec<(String, Profile)>,
-    dll_index: HashMap<String, usize>,
-    windows: HashMap<String, Profile>,
-    reg_keys: HashMap<String, Profile>,
-    reg_values: HashMap<(String, String), (String, Profile)>,
-    exports: HashMap<String, Profile>,
+    files: Table,
+    devices: Table,
+    processes: Table,
+    dlls: Table,
+    windows: Table,
+    reg_keys: Table,
+    reg_values: Table<String>,
+    exports: Table,
 }
 
 fn norm_path(p: &str) -> String {
     p.replace('/', "\\").trim_end_matches('\\').to_ascii_lowercase()
 }
 
-/// Adds `name` to an ordered list with a case-insensitive index, or
-/// updates the profile of the entry it already names.
-fn upsert(
-    list: &mut Vec<(String, Profile)>,
-    index: &mut HashMap<String, usize>,
-    name: &str,
-    profile: Profile,
-) {
-    let i = *index.entry(name.to_ascii_lowercase()).or_insert_with(|| {
-        list.push((name.to_owned(), profile));
-        list.len() - 1
-    });
-    list[i].1 = profile;
+/// A registry value's key: its normalized key path and lower-cased name,
+/// joined by a NUL, which neither can contain.
+fn value_key(path: &str, name: &str) -> String {
+    format!("{}\0{}", norm_path(path), name.to_ascii_lowercase())
 }
 
-/// The profile of `name` in a list built by [`upsert`].
-fn lookup(
-    list: &[(String, Profile)],
-    index: &HashMap<String, usize>,
-    name: &str,
-) -> Option<Profile> {
-    index.get(&name.to_ascii_lowercase()).map(|&i| list[i].1)
+/// An export's key: the lower-cased module, `!`, and the procedure name
+/// as given (`GetProcAddress` matches procedure names exactly).
+fn export_key(module: &str, proc: &str) -> String {
+    format!("{}!{proc}", module.to_ascii_lowercase())
 }
 
 impl ResourceDb {
@@ -138,162 +174,138 @@ impl ResourceDb {
         ResourceDb::default()
     }
 
-    // ----- builders -----
+    // ----- builders: a re-add keeps the first spelling and position -----
 
     /// Adds a deceptive file or folder path.
     pub fn add_file(&mut self, path: &str, profile: Profile) {
-        self.files.insert(norm_path(path), profile);
+        self.files.add(norm_path(path), path, profile, ());
     }
 
     /// Adds a deceptive device (`\\.\name`).
     pub fn add_device(&mut self, name: &str, profile: Profile) {
-        self.devices.insert(name.to_ascii_lowercase(), profile);
+        self.devices.add(name.to_ascii_lowercase(), name, profile, ());
     }
 
-    /// Adds a deceptive process name. Re-adding a name (in any casing)
-    /// keeps its first spelling and list position but takes the new
-    /// profile.
+    /// Adds a deceptive process name.
     pub fn add_process(&mut self, image: &str, profile: Profile) {
-        upsert(&mut self.processes, &mut self.process_index, image, profile);
+        self.processes.add(image.to_ascii_lowercase(), image, profile, ());
     }
 
-    /// Adds a deceptive DLL name, re-adds resolved like
-    /// [`ResourceDb::add_process`].
+    /// Adds a deceptive DLL name.
     pub fn add_dll(&mut self, name: &str, profile: Profile) {
-        upsert(&mut self.dlls, &mut self.dll_index, name, profile);
+        self.dlls.add(name.to_ascii_lowercase(), name, profile, ());
     }
 
     /// Adds a deceptive window class.
     pub fn add_window(&mut self, class: &str, profile: Profile) {
-        self.windows.insert(class.to_ascii_lowercase(), profile);
+        self.windows.add(class.to_ascii_lowercase(), class, profile, ());
     }
 
     /// Adds a deceptive registry key.
     pub fn add_reg_key(&mut self, path: &str, profile: Profile) {
-        self.reg_keys.insert(norm_path(path), profile);
+        self.reg_keys.add(norm_path(path), path, profile, ());
     }
 
     /// Adds a deceptive registry value (its key becomes deceptive too).
     pub fn add_reg_value(&mut self, path: &str, name: &str, data: &str, profile: Profile) {
         self.add_reg_key(path, profile);
-        self.reg_values
-            .insert((norm_path(path), name.to_ascii_lowercase()), (data.to_owned(), profile));
+        self.reg_values.add(value_key(path, name), name, profile, data.to_owned());
     }
 
     /// Adds a deceptive `GetProcAddress` export (`module!proc`).
     pub fn add_export(&mut self, module: &str, proc: &str, profile: Profile) {
-        self.exports.insert(format!("{}!{proc}", module.to_ascii_lowercase()), profile);
+        self.exports.add(export_key(module, proc), &format!("{module}!{proc}"), profile, ());
     }
 
     // ----- queries (hot path for the hook handlers) -----
 
-    /// Matches a file/folder path, exactly or as a parent folder of the
-    /// entry (querying `C:\analysis` matches an entry under it).
-    pub fn file(&self, path: &str) -> Option<Profile> {
+    /// The profiles planted at a file/folder path: its own entry's, then
+    /// those of the entries under it as a folder (querying `C:\analysis`
+    /// matches an entry under it), in first-added order.
+    pub fn file<'a>(&'a self, path: &str) -> impl Iterator<Item = Profile> + 'a {
         let n = norm_path(path);
-        if let Some(p) = self.files.get(&n) {
-            return Some(*p);
-        }
-        // folder query: does any deceptive entry live under this path?
-        let prefix = format!("{n}\\");
-        self.files.iter().find(|(k, _)| k.starts_with(&prefix)).map(|(_, p)| *p)
+        let own = self.files.profile(&n);
+        let folder = format!("{n}\\");
+        let under = self.files.entries.iter().filter(move |e| e.key.starts_with(&folder));
+        own.into_iter().chain(under.map(|e| e.profile))
     }
 
-    /// Iterates over all deceptive file paths (normalized lowercase) with
-    /// their profiles — used by glob-style file enumeration hooks.
-    pub fn files_iter(&self) -> impl Iterator<Item = (&str, Profile)> {
-        self.files.iter().map(|(k, v)| (k.as_str(), *v))
+    /// Every deceptive file or folder, in first-added order.
+    pub fn files(&self) -> &[Entry] {
+        &self.files.entries
     }
 
     /// Matches a device name.
     pub fn device(&self, name: &str) -> Option<Profile> {
-        self.devices.get(&name.to_ascii_lowercase()).copied()
+        self.devices.profile(&name.to_ascii_lowercase())
     }
 
     /// Matches a process image name.
     pub fn process(&self, image: &str) -> Option<Profile> {
-        lookup(&self.processes, &self.process_index, image)
+        self.processes.profile(&image.to_ascii_lowercase())
     }
 
-    /// Every deceptive process with its profile, in first-added order
-    /// (merged into process enumerations).
-    pub fn processes(&self) -> &[(String, Profile)] {
-        &self.processes
+    /// Every deceptive process, in first-added order.
+    pub fn processes(&self) -> &[Entry] {
+        &self.processes.entries
     }
 
     /// Matches a DLL name.
     pub fn dll(&self, name: &str) -> Option<Profile> {
-        lookup(&self.dlls, &self.dll_index, name)
+        self.dlls.profile(&name.to_ascii_lowercase())
     }
 
-    /// Every deceptive DLL with its profile, in first-added order.
-    pub fn dlls(&self) -> &[(String, Profile)] {
-        &self.dlls
+    /// Every deceptive DLL, in first-added order.
+    pub fn dlls(&self) -> &[Entry] {
+        &self.dlls.entries
     }
 
     /// Matches a window class or title.
     pub fn window(&self, class_or_title: &str) -> Option<Profile> {
-        self.windows.get(&class_or_title.to_ascii_lowercase()).copied()
+        self.windows.profile(&class_or_title.to_ascii_lowercase())
     }
 
     /// Matches a registry key path.
     pub fn reg_key(&self, path: &str) -> Option<Profile> {
-        self.reg_keys.get(&norm_path(path)).copied()
+        self.reg_keys.profile(&norm_path(path))
     }
 
     /// Matches a registry value; returns its deceptive data.
     pub fn reg_value(&self, path: &str, name: &str) -> Option<(&str, Profile)> {
-        self.reg_values
-            .get(&(norm_path(path), name.to_ascii_lowercase()))
-            .map(|(d, p)| (d.as_str(), *p))
+        self.reg_values.get(&value_key(path, name)).map(|e| (e.data.as_str(), e.profile))
     }
 
     /// Matches an export.
     pub fn export(&self, module: &str, proc: &str) -> Option<Profile> {
-        self.exports.get(&format!("{}!{proc}", module.to_ascii_lowercase())).copied()
+        self.exports.profile(&export_key(module, proc))
     }
 
     /// A copy of the database containing only resources of the given
-    /// profiles (used by the deception-breadth ablation: e.g. a
-    /// debugger-profile-only engine).
+    /// profiles, in the same order (used by the deception-breadth
+    /// ablation: e.g. a debugger-profile-only engine).
     pub fn filter_profiles(&self, keep: &[Profile]) -> ResourceDb {
-        let keeps = |p: &Profile| keep.contains(p);
-        let mut out = ResourceDb::new();
-        out.files =
-            self.files.iter().filter(|(_, p)| keeps(p)).map(|(k, p)| (k.clone(), *p)).collect();
-        out.devices =
-            self.devices.iter().filter(|(_, p)| keeps(p)).map(|(k, p)| (k.clone(), *p)).collect();
-        for (name, p) in self.processes.iter().filter(|(_, p)| keeps(p)) {
-            out.add_process(name, *p);
+        ResourceDb {
+            files: self.files.filter(keep),
+            devices: self.devices.filter(keep),
+            processes: self.processes.filter(keep),
+            dlls: self.dlls.filter(keep),
+            windows: self.windows.filter(keep),
+            reg_keys: self.reg_keys.filter(keep),
+            reg_values: self.reg_values.filter(keep),
+            exports: self.exports.filter(keep),
         }
-        for (name, p) in self.dlls.iter().filter(|(_, p)| keeps(p)) {
-            out.add_dll(name, *p);
-        }
-        out.windows =
-            self.windows.iter().filter(|(_, p)| keeps(p)).map(|(k, p)| (k.clone(), *p)).collect();
-        out.reg_keys =
-            self.reg_keys.iter().filter(|(_, p)| keeps(p)).map(|(k, p)| (k.clone(), *p)).collect();
-        out.reg_values = self
-            .reg_values
-            .iter()
-            .filter(|(_, (_, p))| keeps(p))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.exports =
-            self.exports.iter().filter(|(_, p)| keeps(p)).map(|(k, p)| (k.clone(), *p)).collect();
-        out
     }
 
     /// Database cardinalities.
     pub fn stats(&self) -> ResourceStats {
         ResourceStats {
-            files: self.files.len(),
-            devices: self.devices.len(),
-            processes: self.processes.len(),
-            dlls: self.dlls.len(),
-            windows: self.windows.len(),
-            reg_keys: self.reg_keys.len(),
-            reg_values: self.reg_values.len(),
+            files: self.files.entries.len(),
+            devices: self.devices.entries.len(),
+            processes: self.processes.entries.len(),
+            dlls: self.dlls.entries.len(),
+            windows: self.windows.entries.len(),
+            reg_keys: self.reg_keys.entries.len(),
+            reg_values: self.reg_values.entries.len(),
         }
     }
 
@@ -491,11 +503,30 @@ mod tests {
     #[test]
     fn file_lookup_is_case_insensitive_and_folder_aware() {
         let db = ResourceDb::builtin();
-        assert_eq!(db.file(r"c:\windows\system32\drivers\VMMOUSE.SYS"), Some(Profile::VMware));
+        assert_eq!(
+            db.file(r"c:\windows\system32\drivers\VMMOUSE.SYS").next(),
+            Some(Profile::VMware)
+        );
         // querying the folder that contains a deceptive entry also matches
-        assert_eq!(db.file(r"C:\analysis"), Some(Profile::Generic));
-        assert_eq!(db.file(r"C:\Program Files\Oracle"), Some(Profile::VirtualBox));
-        assert_eq!(db.file(r"C:\legit\app.exe"), None);
+        assert_eq!(db.file(r"C:\analysis").next(), Some(Profile::Generic));
+        assert_eq!(db.file(r"C:\Program Files\Oracle").next(), Some(Profile::VirtualBox));
+        assert_eq!(db.file(r"C:\legit\app.exe").next(), None);
+    }
+
+    #[test]
+    fn a_folder_query_answers_with_the_first_added_entry_under_it() {
+        // every fresh instance answers alike: vmmouse.sys is the first
+        // entry added under drivers
+        for _ in 0..32 {
+            let db = ResourceDb::builtin();
+            let drivers = r"C:\Windows\System32\drivers";
+            assert_eq!(db.file(drivers).next(), Some(Profile::VMware));
+            assert_eq!(
+                db.file(drivers).find(|&p| p == Profile::VirtualBox),
+                Some(Profile::VirtualBox)
+            );
+            assert_eq!(db.file(drivers).find(|&p| p == Profile::Wine), None);
+        }
     }
 
     #[test]
@@ -528,7 +559,7 @@ mod tests {
         assert_eq!(ext.reg_key(r"HKLM\SOFTWARE\Parallels\Tools"), Some(Profile::Parallels));
         assert_eq!(ext.process("PRL_CC.EXE"), Some(Profile::Parallels));
         assert_eq!(ext.device("prl_tg"), Some(Profile::Parallels));
-        assert_eq!(ext.file(r"C:\Windows\System32\drivers\xen.sys"), Some(Profile::Xen));
+        assert_eq!(ext.file(r"C:\Windows\System32\drivers\xen.sys").next(), Some(Profile::Xen));
         assert_eq!(ext.dll("vmbuspipe.dll"), Some(Profile::HyperV));
         assert!(ext.stats().processes > core.stats().processes);
         // the paper-exact core is untouched
@@ -555,14 +586,48 @@ mod tests {
         db.add_dll("SbieDll.dll", Profile::Sandboxie);
         db.add_dll("SBIEDLL.DLL", Profile::PublicSandbox);
         assert_eq!(db.process("VBOXSERVICE.EXE"), Some(Profile::PublicSandbox));
-        assert_eq!(db.processes(), [("VBoxService.exe".to_owned(), Profile::PublicSandbox)]);
+        let listed = |entries: &[Entry]| -> Vec<(String, Profile)> {
+            entries.iter().map(|e| (e.name.clone(), e.profile)).collect()
+        };
+        assert_eq!(
+            listed(db.processes()),
+            [("VBoxService.exe".to_owned(), Profile::PublicSandbox)]
+        );
         assert_eq!(db.dll("sbiedll.dll"), Some(Profile::PublicSandbox));
-        assert_eq!(db.dlls(), [("SbieDll.dll".to_owned(), Profile::PublicSandbox)]);
+        assert_eq!(listed(db.dlls()), [("SbieDll.dll".to_owned(), Profile::PublicSandbox)]);
         let kept = db.filter_profiles(&[Profile::PublicSandbox]);
         assert_eq!(kept.process("VBoxService.exe"), Some(Profile::PublicSandbox));
         assert_eq!(kept.dll("SbieDll.dll"), Some(Profile::PublicSandbox));
         let dropped = db.filter_profiles(&[Profile::VirtualBox, Profile::Sandboxie]);
         assert_eq!(dropped.stats().processes + dropped.stats().dlls, 0);
+    }
+
+    #[test]
+    fn re_adds_keep_first_spelling_and_position_for_every_kind() {
+        let mut db = ResourceDb::new();
+        db.add_file(r"C:\A\x.sys", Profile::VMware);
+        db.add_file(r"C:\A\y.sys", Profile::Xen);
+        db.add_file(r"c:/a/X.SYS", Profile::Qemu);
+        db.add_device("SICE", Profile::Debugger);
+        db.add_device("sice", Profile::Generic);
+        db.add_window("OLLYDBG", Profile::Debugger);
+        db.add_window("ollydbg", Profile::Cuckoo);
+        db.add_reg_value(r"HKLM\K", "V", "old", Profile::Bochs);
+        db.add_reg_value(r"hklm\k\", "v", "new", Profile::Qemu);
+        db.add_export("Kernel32.dll", "wine_get_unix_file_name", Profile::Wine);
+        db.add_export("KERNEL32.DLL", "wine_get_unix_file_name", Profile::Generic);
+        let files: Vec<_> = db.files().iter().map(|e| (e.name.as_str(), e.profile)).collect();
+        assert_eq!(files, [(r"C:\A\x.sys", Profile::Qemu), (r"C:\A\y.sys", Profile::Xen)]);
+        assert_eq!(db.file(r"C:\A").next(), Some(Profile::Qemu));
+        assert_eq!(db.device("Sice"), Some(Profile::Generic));
+        assert_eq!(db.window("OllyDbg"), Some(Profile::Cuckoo));
+        assert_eq!(db.reg_value(r"HKLM\K", "v"), Some(("new", Profile::Qemu)));
+        assert_eq!(db.reg_key(r"HKLM\K"), Some(Profile::Qemu));
+        assert_eq!(db.export("kernel32.dll", "wine_get_unix_file_name"), Some(Profile::Generic));
+        // an export's procedure name matches exactly
+        assert_eq!(db.export("kernel32.dll", "WINE_GET_UNIX_FILE_NAME"), None);
+        let s = db.stats();
+        assert_eq!((s.files, s.devices, s.windows, s.reg_keys, s.reg_values), (2, 1, 1, 1, 1));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
+use super::{merge_listing, Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Answers file-existence probes for the planted analysis-tool and guest
 /// addition paths, resolves `\\.\` opens against the deceptive device
@@ -75,27 +75,12 @@ impl DeceptionRule for FilesystemRule {
             }
             Api::FindFirstFile => {
                 let pattern = call.args.str(0).to_owned();
-                let original = call.call_original();
-                let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
-                let mut hit = None;
-                let mut added = 0u64;
-                for (path, profile) in state.db_files_matching(&Glob::new(&pattern), live) {
-                    hit = Some(profile);
-                    added += 1;
-                    merged.push(Value::from(path.as_str()));
-                }
-                match hit {
-                    Some(p) => Outcome::Deceive(
-                        Deception::new(
-                            Category::File,
-                            pattern,
-                            p,
-                            format!("{added} deceptive entries appended"),
-                        ),
-                        Value::List(merged),
-                    ),
-                    None => Outcome::Done(Value::List(merged)),
-                }
+                let glob = Glob::new(&pattern);
+                let files = state.db.files().iter().filter(|e| glob.matches(&e.name));
+                merge_listing(call.call_original(), None, files, live, |p, n| {
+                    let what = format!("{n} deceptive entries appended");
+                    Deception::new(Category::File, pattern, p, what)
+                })
             }
             _ => Outcome::Pass,
         }

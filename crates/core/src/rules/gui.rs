@@ -32,11 +32,9 @@ impl DeceptionRule for GuiRule {
 
     fn respond(&self, state: &EngineState, cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
         let live = Live::of(cfg, call);
-        let hit = live
-            .hit(state.db.window(call.args.str(0)))
-            .or_else(|| live.hit(state.db.window(call.args.str(1))));
-        if let Some(p) = hit {
-            let resource = format!("{}{}", call.args.str(0), call.args.str(1));
+        let names = [call.args.str(0), call.args.str(1)];
+        if let Some(p) = live.hit(names.into_iter().filter_map(|n| state.db.window(n))) {
+            let resource = names.concat();
             return Outcome::Deceive(
                 Deception::new(Category::Window, resource, p, "window found"),
                 Value::Bool(true),

@@ -29,7 +29,7 @@ use winsim::{Api, ApiCall, Decision, Value};
 use crate::config::Config;
 use crate::engine::EngineState;
 use crate::profiles::Profile;
-use crate::resources::Category;
+use crate::resources::{Category, Entry};
 
 mod debugger;
 mod exception;
@@ -187,9 +187,39 @@ impl Live {
         profile.active(self.exclusive, self.committed)
     }
 
-    /// A database hit, kept only if its profile answers.
-    pub(crate) fn hit(self, hit: Option<Profile>) -> Option<Profile> {
-        hit.filter(|&p| self.admits(p))
+    /// The first database hit whose profile answers.
+    pub(crate) fn hit(self, hits: impl IntoIterator<Item = Profile>) -> Option<Profile> {
+        hits.into_iter().find(|&p| self.admits(p))
+    }
+}
+
+/// The one merge of database entries into a listing: an enumeration's
+/// `answer` itself, or the Toolhelp32 `snapshot` it created. Appends each
+/// entry `live` admits that the listing does not name yet (compared
+/// case-insensitively); whenever one is admitted, deceives under the
+/// first one's profile — `draft` gets it and the number appended.
+pub(crate) fn merge_listing<'a>(
+    mut answer: Value,
+    snapshot: Option<&mut Vec<Value>>,
+    entries: impl IntoIterator<Item = &'a Entry>,
+    live: Live,
+    draft: impl FnOnce(Profile, usize) -> Deception,
+) -> Outcome {
+    let mut first = None;
+    let mut appended = 0;
+    if let Some(listing) = snapshot.or(answer.as_list_mut()) {
+        for e in entries.into_iter().filter(|e| live.admits(e.profile)) {
+            first.get_or_insert(e.profile);
+            let named = |v: &Value| v.as_str().is_some_and(|s| s.eq_ignore_ascii_case(&e.name));
+            if !listing.iter().any(named) {
+                listing.push(Value::from(e.name.as_str()));
+                appended += 1;
+            }
+        }
+    }
+    match first {
+        Some(p) => Outcome::Deceive(draft(p, appended), answer),
+        None => Outcome::Done(answer),
     }
 }
 

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
+use super::{merge_listing, Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Makes the planted guest-addition and analysis DLLs loadable: handle
 /// lookups and loads succeed with a fake module handle, module
@@ -50,27 +50,10 @@ impl DeceptionRule for ModulesRule {
                 Outcome::Pass
             }
             Api::EnumModules => {
-                let original = call.call_original();
-                let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
-                let mut first = None;
-                for (name, profile) in state.db.dlls() {
-                    if live.admits(*profile) {
-                        merged.push(Value::from(name.as_str()));
-                        first.get_or_insert(*profile);
-                    }
-                }
-                match first {
-                    Some(p) => Outcome::Deceive(
-                        Deception::new(
-                            Category::Dll,
-                            "module enumeration",
-                            p,
-                            "deceptive modules appended",
-                        ),
-                        Value::List(merged),
-                    ),
-                    None => Outcome::Done(Value::List(merged)),
-                }
+                merge_listing(call.call_original(), None, state.db.dlls(), live, |p, _| {
+                    let what = "deceptive modules appended";
+                    Deception::new(Category::Dll, "module enumeration", p, what)
+                })
             }
             Api::GetProcAddress => {
                 if let Some(p) = live.hit(state.db.export(call.args.str(0), call.args.str(1))) {

@@ -6,7 +6,7 @@ use crate::config::Config;
 use crate::engine::EngineState;
 use crate::resources::Category;
 
-use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
+use super::{merge_listing, Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 
 /// Makes the planted analysis-tool processes observable: `OpenProcess`
 /// hands out a fake handle, and every enumeration channel (EnumProcesses,
@@ -14,32 +14,17 @@ use super::{Deception, DeceptionRule, Gate, Live, Outcome, Tier};
 /// profiles' deceptive processes alongside the real ones.
 pub struct ProcessEnumRule;
 
-/// Merges the active profiles' deceptive process names into an
-/// enumeration result, deduplicating case-insensitively against what the
-/// real listing already contains.
-fn merge_processes(state: &EngineState, live: Live, original: &Value) -> Outcome {
-    let mut merged: Vec<Value> = original.as_list().unwrap_or(&[]).to_vec();
-    let mut first = None;
-    for (name, profile) in state.db.processes() {
-        if live.admits(*profile) {
-            if !merged.iter().any(|v| v.as_str().is_some_and(|s| s.eq_ignore_ascii_case(name))) {
-                merged.push(Value::from(name.as_str()));
-            }
-            first.get_or_insert(*profile);
-        }
-    }
-    match first {
-        Some(p) => Outcome::Deceive(
-            Deception::new(
-                Category::Process,
-                "process enumeration",
-                p,
-                "deceptive processes appended",
-            ),
-            Value::List(merged),
-        ),
-        None => Outcome::Done(Value::List(merged)),
-    }
+/// Merges the deceptive processes into one enumeration channel's listing.
+fn merge_processes(
+    state: &EngineState,
+    live: Live,
+    answer: Value,
+    snapshot: Option<&mut Vec<Value>>,
+    channel: &'static str,
+) -> Outcome {
+    merge_listing(answer, snapshot, state.db.processes(), live, |p, _| {
+        Deception::new(Category::Process, channel, p, "deceptive processes appended")
+    })
 }
 
 impl DeceptionRule for ProcessEnumRule {
@@ -78,39 +63,18 @@ impl DeceptionRule for ProcessEnumRule {
                 Outcome::Pass
             }
             Api::EnumProcesses => {
-                let original = call.call_original();
-                merge_processes(state, live, &original)
+                merge_processes(state, live, call.call_original(), None, "process enumeration")
             }
             Api::CreateToolhelp32Snapshot => {
-                let result = call.call_original();
-                if let Some(handle) = result.as_u64() {
-                    let mut first = None;
-                    for (name, profile) in state.db.processes() {
-                        if live.admits(*profile) {
-                            call.machine().snapshot_append(handle, name);
-                            first.get_or_insert(*profile);
-                        }
-                    }
-                    if let Some(p) = first {
-                        return Outcome::Deceive(
-                            Deception::new(
-                                Category::Process,
-                                "toolhelp snapshot",
-                                p,
-                                "deceptive processes appended",
-                            ),
-                            result,
-                        );
-                    }
-                }
-                Outcome::Done(result)
+                let handle = call.call_original();
+                let snapshot = handle.as_u64().and_then(|h| call.machine().snapshot_mut(h));
+                merge_processes(state, live, handle, snapshot, "toolhelp snapshot")
             }
             Api::NtQuerySystemInformation => {
                 if call.args.str(0) != "ProcessInformation" {
                     return Outcome::Pass;
                 }
-                let original = call.call_original();
-                merge_processes(state, live, &original)
+                merge_processes(state, live, call.call_original(), None, "process enumeration")
             }
             _ => Outcome::Pass,
         }

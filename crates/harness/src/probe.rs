@@ -32,7 +32,8 @@ pub fn spawn_probe(machine: &mut Machine, image: &str, engine: Option<&Scarecrow
 mod tests {
     use super::*;
     use scarecrow::Config;
-    use winsim::env::bare_metal_sandbox;
+    use std::collections::BTreeSet;
+    use winsim::env::{bare_metal_sandbox, vm_sandbox};
     use winsim::ProcessCtx;
 
     #[test]
@@ -53,5 +54,19 @@ mod tests {
         assert_eq!(ctx.parent_image(), "scarecrow.exe");
         assert!(ctx.is_debugger_present());
         assert_eq!(ctx.cpu_count(), 1);
+    }
+
+    #[test]
+    fn protected_listing_names_each_path_once() {
+        let engine = Scarecrow::with_builtin_db(Config::default());
+        let mut m = vm_sandbox();
+        let pid = spawn_probe(&mut m, "probe.exe", Some(&engine));
+        let listed = ProcessCtx::new(&mut m, pid).find_files(r"C:\Windows\System32\drivers\*");
+        let lower: BTreeSet<String> = listed.iter().map(|p| p.to_ascii_lowercase()).collect();
+        assert_eq!(lower.len(), listed.len(), "{listed:?}");
+        // the sandbox's own VirtualBox drivers are not listed again; the
+        // two VMware drivers are appended, and VMware's is the first entry
+        let d = m.take_deception().into_decisions().pop().unwrap();
+        assert_eq!((d.profile, &*d.answer), ("VMware", "2 deceptive entries appended"));
     }
 }

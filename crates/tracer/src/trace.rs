@@ -13,16 +13,16 @@ use crate::event::{Event, EventKind, Pid};
 /// counts so that two runs of the same sample produce comparable sets.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActivityKey {
-    /// The activity class (an [`EventKind::tag`] value).
-    pub tag: String,
+    /// The activity class (an [`EventKind::tag`] value, or `"reg_mutate"`).
+    pub tag: &'static str,
     /// The normalized object of the activity (image name, path, key, ...).
     pub object: String,
 }
 
 impl ActivityKey {
     /// Creates a key from a tag/object pair.
-    pub fn new(tag: impl Into<String>, object: impl Into<String>) -> Self {
-        ActivityKey { tag: tag.into(), object: object.into() }
+    pub fn new(tag: &'static str, object: impl Into<String>) -> Self {
+        ActivityKey { tag, object: object.into() }
     }
 }
 

@@ -377,14 +377,13 @@ impl<'m> ApiCall<'m> {
                 // trampoline tail for the passthrough-vs-hook histogram
                 if self.machine.flight_active() {
                     let started = std::time::Instant::now();
-                    let value =
-                        Machine::default_api(self.machine, self.pid, self.api, self.args.clone());
+                    let value = Machine::default_api(self.machine, self.pid, self.api, &self.args);
                     let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     self.machine.flight_hist(tracer::flight::FlightHist::TrampolinePassthrough, ns);
                     return value;
                 }
             }
-            Machine::default_api(self.machine, self.pid, self.api, self.args.clone())
+            Machine::default_api(self.machine, self.pid, self.api, &self.args)
         }
     }
 

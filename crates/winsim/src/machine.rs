@@ -73,7 +73,7 @@ pub struct Machine {
     /// such as Cuckoo does exactly this to analyzed samples).
     autoinject: Vec<(Api, Arc<dyn ApiHook>)>,
     /// Live Toolhelp32 snapshots: handle → (images, cursor).
-    snapshots: HashMap<u64, (Vec<String>, usize)>,
+    snapshots: HashMap<u64, (Vec<Value>, usize)>,
     next_snapshot: u64,
     /// Per-run virtual-time budget.
     pub budget_ms: u64,
@@ -575,19 +575,11 @@ impl Machine {
         self.record(pid, EventKind::ProcessTerminate { pid, image, exit_code });
     }
 
-    /// Appends an entry to a live Toolhelp32 snapshot (used by deception
-    /// hooks to plant analysis-tool processes into enumerations).
-    /// Returns whether the handle was valid.
-    pub fn snapshot_append(&mut self, handle: u64, image: &str) -> bool {
-        match self.snapshots.get_mut(&handle) {
-            Some((images, _)) => {
-                if !images.iter().any(|i| i.eq_ignore_ascii_case(image)) {
-                    images.push(image.to_owned());
-                }
-                true
-            }
-            None => false,
-        }
+    /// The listing of a live Toolhelp32 snapshot, for deception hooks
+    /// that plant analysis-tool processes into it (`None` for a bad
+    /// handle).
+    pub fn snapshot_mut(&mut self, handle: u64) -> Option<&mut Vec<Value>> {
+        self.snapshots.get_mut(&handle).map(|(images, _)| images)
     }
 
     /// Records a trace event at the current virtual time.
@@ -612,7 +604,7 @@ impl Machine {
     ///
     /// This is what a hook's `call_original` bottoms out in; it consults and
     /// mutates system state and emits kernel trace events.
-    pub(crate) fn default_api(machine: &mut Machine, pid: Pid, api: Api, args: Args) -> Value {
+    pub(crate) fn default_api(machine: &mut Machine, pid: Pid, api: Api, args: &Args) -> Value {
         let m = machine;
         match api {
             // ---------- registry ----------
@@ -848,7 +840,7 @@ impl Machine {
             Api::EnumProcesses => Value::List(m.live_images().map(Value::from).collect()),
             Api::GetCurrentProcessId => Value::U64(u64::from(pid)),
             Api::CreateToolhelp32Snapshot => {
-                let images: Vec<String> = m.live_images().map(str::to_owned).collect();
+                let images: Vec<Value> = m.live_images().map(Value::from).collect();
                 let handle = m.next_snapshot;
                 m.next_snapshot += 4;
                 m.snapshots.insert(handle, (images, 0));
@@ -859,9 +851,8 @@ impl Machine {
                 match m.snapshots.get_mut(&handle) {
                     Some((images, cursor)) => match images.get(*cursor) {
                         Some(image) => {
-                            let image = Value::from(image.as_str());
                             *cursor += 1;
-                            image
+                            image.clone()
                         }
                         None => Value::Status(NtStatus::NoMoreEntries),
                     },

@@ -101,6 +101,15 @@ impl Value {
         }
     }
 
+    /// The value as a growable list, if it is a list (for hooks that
+    /// append to a listing API's answer).
+    pub fn as_list_mut(&mut self) -> Option<&mut Vec<Value>> {
+        match self {
+            Value::List(l) => Some(l),
+            _ => None,
+        }
+    }
+
     /// The value as raw bytes, if it is a byte value.
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {

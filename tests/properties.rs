@@ -7,11 +7,11 @@ use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 use prop::{check, Gen, DEFAULT_CASES};
-use scarecrow::Config;
+use scarecrow::{Config, Profile, ResourceDb};
 use tracer::json::{Json, JsonError, ToJson};
 use tracer::{Event, EventKind, RegOp, Trace, TraceDiff, Verdict};
 use winsim::{
-    args, Api, ApiCall, Args, DriveInfo, FileSystem, Machine, MachineSnapshot, NxPolicy, Pid,
+    args, Api, ApiCall, Args, DriveInfo, FileSystem, Glob, Machine, MachineSnapshot, NxPolicy, Pid,
     RegValue, Registry, Value,
 };
 
@@ -979,6 +979,83 @@ fn hist_merge_is_associative_and_lossless() {
         // so parallel-worker aggregation is lossless
         let all: Vec<u64> = xs.iter().chain(&ys).chain(&zs).copied().collect();
         assert_eq!(left, hist_from(&all));
+    });
+}
+
+// ---------------------------------------------------------------------------
+// resource database invariants: every answer depends only on the entries
+// and the order they were added
+// ---------------------------------------------------------------------------
+
+const DB_FOLDERS: &[&str] = &[r"C:\Drivers", r"C:\Drivers\Sub", r"C:\Tools"];
+const DB_FILES: &[&str] = &["a.sys", "B.dll", "c.exe"];
+const DB_PROFILES: &[Profile] =
+    &[Profile::VMware, Profile::VirtualBox, Profile::Debugger, Profile::Generic];
+
+/// A file under one of a few shared folders, in random casing, so adds
+/// collide on the same entries (re-adds) and folders hold several.
+fn db_file(g: &mut Gen) -> String {
+    format!("{}\\{}", cased(g, DB_FOLDERS), cased(g, DB_FILES))
+}
+
+fn build_db(adds: &[(String, Profile)]) -> ResourceDb {
+    let mut db = ResourceDb::new();
+    for (path, profile) in adds {
+        db.add_file(path, *profile);
+    }
+    db
+}
+
+/// The folder-query oracle: entries (normalized path, profile) in
+/// first-added order, a re-add taking the new profile in place; the
+/// answer is the path's own admitted entry, else the first admitted entry
+/// under it.
+fn naive_file(
+    adds: &[(String, Profile)],
+    path: &str,
+    admits: impl Fn(Profile) -> bool,
+) -> Option<Profile> {
+    let mut entries: Vec<(String, Profile)> = Vec::new();
+    for (p, profile) in adds {
+        let key = p.to_ascii_lowercase();
+        match entries.iter_mut().find(|(k, _)| *k == key) {
+            Some(e) => e.1 = *profile,
+            None => entries.push((key, *profile)),
+        }
+    }
+    let key = path.to_ascii_lowercase();
+    let folder = format!("{key}\\");
+    let own = entries.iter().find(|(k, p)| *k == key && admits(*p));
+    own.or_else(|| entries.iter().find(|(k, p)| k.starts_with(&folder) && admits(*p))).map(|e| e.1)
+}
+
+#[test]
+fn resource_db_answers_depend_only_on_contents_and_order() {
+    let case = |g: &mut Gen| g.vec(1..12, |g| (db_file(g), g.pick(DB_PROFILES)));
+    check("resource_db_answers_depend_only_on_contents_and_order", DEFAULT_CASES, case, |adds| {
+        // two separate instances built from the same adds
+        let (a, b) = (build_db(&adds), build_db(&adds));
+        let mut queries: Vec<String> = DB_FOLDERS.iter().map(|f| f.to_string()).collect();
+        queries.extend(adds.iter().map(|(p, _)| p.to_ascii_uppercase()));
+        queries.push(r"C:\Elsewhere".to_owned());
+        // every profile admitted, then each one alone (a committed run)
+        let modes = std::iter::once(None).chain(DB_PROFILES.iter().copied().map(Some));
+        for only in modes {
+            let admits = |p: Profile| only.is_none_or(|o| o == p);
+            for q in &queries {
+                let answer = a.file(q).find(|&p| admits(p));
+                assert_eq!(answer, b.file(q).find(|&p| admits(p)), "{q} admitting {only:?}");
+                assert_eq!(answer, naive_file(&adds, q, admits), "{q} admitting {only:?}");
+            }
+        }
+        for pattern in [r"C:\Drivers\*", r"C:\*", r"C:\*.SYS", r"*\Sub\*"] {
+            let glob = Glob::new(pattern);
+            let listing = |db: &ResourceDb| -> Vec<(String, Profile)> {
+                let files = db.files().iter().filter(|e| glob.matches(&e.name));
+                files.map(|e| (e.name.clone(), e.profile)).collect()
+            };
+            assert_eq!(listing(&a), listing(&b), "{pattern}");
+        }
     });
 }
 
