@@ -23,8 +23,7 @@ pub fn run() -> Vec<BenignReport> {
         .into_iter()
         .map(|app| {
             let image = winsim::Program::image_name(&app).to_owned();
-            let pair = cluster.run_pair(Arc::new(app));
-            BenignReport::compare(&image, &pair.baseline, &pair.protected.trace)
+            BenignReport::from_diff(&image, &cluster.run_pair(Arc::new(app)).diff)
         })
         .collect()
 }

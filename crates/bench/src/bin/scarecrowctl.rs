@@ -221,7 +221,7 @@ fn cmd_run(name: &str, config_path: Option<&str>) {
     let cluster = Cluster::new(Arc::new(end_user_machine), Scarecrow::with_builtin_db(config));
     let pair = cluster.run_pair(sample.into_program());
     println!("baseline activities:");
-    for a in pair.baseline.significant_activities() {
+    for a in &pair.diff.baseline {
         println!("  - {a}");
     }
     println!("\ntriggers under deception:");

@@ -35,20 +35,18 @@ fn engine() -> Scarecrow {
 fn run_case(name: &str, sample: malware_sim::EvasiveSample) -> CaseResult {
     let cluster = Cluster::new(Arc::new(end_user_machine), engine());
     let program = sample.into_program();
-    let image = program.image_name().to_owned();
     // run baseline and protected on fresh machines, inspecting filesystems
     let (m_base, baseline) = cluster.run_baseline(Arc::clone(&program));
     let (m_prot, protected) = cluster.run_protected(program);
-    let _ = image;
     let count_encrypted =
         |m: &winsim::Machine| m.system().fs.iter().filter(|f| f.encrypted).count();
-    let verdict = tracer::Verdict::decide(&baseline, &protected.trace);
+    let diff = tracer::TraceDiff::compute(&baseline, &protected.trace);
     CaseResult {
         name: name.to_owned(),
         encrypted_without: count_encrypted(&m_base),
         encrypted_with: count_encrypted(&m_prot),
-        baseline_activities: baseline.significant_activities().len(),
-        deactivated: verdict.is_deactivated(),
+        baseline_activities: diff.baseline.len(),
+        deactivated: tracer::Verdict::from_diff(&diff).is_deactivated(),
         first_trigger: protected.triggers.first().map(|t| format!("{}()", t.api)),
     }
 }

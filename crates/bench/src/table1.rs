@@ -6,7 +6,7 @@ use harness::{Cluster, RunPair};
 use malware_sim::samples::joe::{joe_samples, JoeSample};
 use malware_sim::Technique;
 use scarecrow::{Config, Scarecrow};
-use tracer::{FlightConfig, FlightSnapshot, TelemetrySnapshot, Verdict};
+use tracer::{DeactivationReason, FlightConfig, FlightSnapshot, TelemetrySnapshot, Verdict};
 use winsim::env::bare_metal_sandbox;
 
 /// One measured Table I row.
@@ -36,10 +36,11 @@ tracer::impl_to_json!(struct Table1Row { md5, paper_without, paper_with, paper_t
     paper_effective, measured_without, measured_with, measured_trigger, measured_effective });
 
 fn summarize_protected(pair: &RunPair) -> String {
-    let spawns = pair.protected.trace.self_spawn_count();
-    let acts = pair.protected.trace.significant_activities();
+    let acts = &pair.diff.protected;
     match &pair.verdict {
-        Verdict::Deactivated(_) if spawns > 10 => format!("self-spawn loop ({spawns} spawns)"),
+        Verdict::Deactivated(DeactivationReason::SelfSpawnLoop { count }) => {
+            format!("self-spawn loop ({count} spawns)")
+        }
         Verdict::Deactivated(_) if acts.is_empty() => "terminated without payload".to_owned(),
         Verdict::Deactivated(_) => format!("payload suppressed ({} decoy activities)", acts.len()),
         Verdict::NotDeactivated => "payload executed anyway".to_owned(),
@@ -89,12 +90,7 @@ pub fn run() -> (Vec<Table1Row>, TelemetrySnapshot, FlightSnapshot) {
                 paper_with: js.with_desc.to_owned(),
                 paper_trigger: js.trigger.to_owned(),
                 paper_effective: js.effective,
-                measured_without: pair
-                    .baseline
-                    .significant_activities()
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect(),
+                measured_without: pair.diff.baseline.iter().map(ToString::to_string).collect(),
                 measured_with: summarize_protected(&pair),
                 measured_trigger: observed_trigger(&js, &pair),
                 measured_effective: pair.verdict.is_deactivated(),

@@ -40,10 +40,11 @@ pub struct EngineState {
     pub wear: WearTearFakes,
     /// The deceptive resource database.
     pub db: Arc<ResourceDb>,
-    /// Normalized well-known worn registry key → (subkey fake, value
-    /// fake), precomputed once so the wear-and-tear rule does not
-    /// re-lowercase and re-trim every candidate key per call.
-    wear_reg: HashMap<String, WearCounts>,
+    /// Normalized well-known worn registry key → its faked count (of
+    /// subkeys or of values, whichever the key is worn by), precomputed
+    /// once so the wear-and-tear rule does not re-lowercase and re-trim
+    /// every candidate key per call.
+    wear_reg: HashMap<String, u64>,
 }
 
 impl std::fmt::Debug for EngineState {
@@ -56,25 +57,22 @@ impl std::fmt::Debug for EngineState {
 /// held across a rule or a hook. A poisoned lock is therefore a bug.
 pub(crate) const POISONED: &str = "engine state lock poisoned";
 
-/// Fake (subkey count, value count) pair for one worn registry key.
-type WearCounts = (Option<u64>, Option<u64>);
-
 /// Builds the normalized worn-key map from the Table III fakes: each
 /// well-known key is trimmed and lowercased exactly once, at
 /// [`EngineState`] construction.
-fn wear_reg_map(w: &WearTearFakes) -> HashMap<String, WearCounts> {
-    let entries: [(&str, WearCounts); 11] = [
-        (wenv::DEVICE_CLASSES_KEY, (Some(w.device_classes), None)),
-        (wenv::RUN_KEY, (None, Some(w.autoruns))),
-        (wenv::UNINSTALL_KEY, (Some(w.uninstall), None)),
-        (wenv::SHARED_DLLS_KEY, (None, Some(w.shared_dlls))),
-        (wenv::APP_PATHS_KEY, (Some(w.app_paths), None)),
-        (wenv::ACTIVE_SETUP_KEY, (Some(w.active_setup), None)),
-        (wenv::USER_ASSIST_KEY, (None, Some(w.user_assist))),
-        (wenv::SHIM_CACHE_KEY, (None, Some(w.shim_cache))),
-        (wenv::MUI_CACHE_KEY, (None, Some(w.mui_cache))),
-        (wenv::FIREWALL_RULES_KEY, (None, Some(w.firewall_rules))),
-        (wenv::USBSTOR_KEY, (Some(w.usb_stor), None)),
+fn wear_reg_map(w: &WearTearFakes) -> HashMap<String, u64> {
+    let entries: [(&str, u64); 11] = [
+        (wenv::DEVICE_CLASSES_KEY, w.device_classes),
+        (wenv::RUN_KEY, w.autoruns),
+        (wenv::UNINSTALL_KEY, w.uninstall),
+        (wenv::SHARED_DLLS_KEY, w.shared_dlls),
+        (wenv::APP_PATHS_KEY, w.app_paths),
+        (wenv::ACTIVE_SETUP_KEY, w.active_setup),
+        (wenv::USER_ASSIST_KEY, w.user_assist),
+        (wenv::SHIM_CACHE_KEY, w.shim_cache),
+        (wenv::MUI_CACHE_KEY, w.mui_cache),
+        (wenv::FIREWALL_RULES_KEY, w.firewall_rules),
+        (wenv::USBSTOR_KEY, w.usb_stor),
     ];
     entries.iter().map(|(k, v)| (k.trim_matches('\\').to_ascii_lowercase(), *v)).collect()
 }
@@ -106,17 +104,11 @@ impl EngineState {
         Arc::clone(&*self.rules.read().expect(POISONED))
     }
 
-    /// Wear-and-tear registry override for a well-known worn key:
-    /// a precomputed-map lookup, preferring the `what` facet ("values" or
-    /// subkeys) but falling back to the other one, like the original
-    /// per-call chain did.
-    pub(crate) fn wear_reg_override(&self, path: &str, what: &str) -> Option<u64> {
+    /// Wear-and-tear registry override for a well-known worn key: its
+    /// one faked count, whichever facet (subkeys or values) is asked for.
+    pub(crate) fn wear_reg_override(&self, path: &str) -> Option<u64> {
         let n = path.trim_matches('\\').to_ascii_lowercase();
-        let &(subkeys, values) = self.wear_reg.get(&n)?;
-        match what {
-            "values" => values.or(subkeys),
-            _ => subkeys.or(values),
-        }
+        self.wear_reg.get(&n).copied()
     }
 }
 
@@ -304,10 +296,9 @@ mod tests {
     fn wear_overrides_normalize_case_and_slashes() {
         let state = engine();
         let shouty = format!(r"\{}\", winsim::env::RUN_KEY.to_ascii_uppercase());
-        assert_eq!(state.wear_reg_override(&shouty, "values"), Some(3), "Table III autoruns");
-        // the requested facet falls back to the populated one
-        assert_eq!(state.wear_reg_override(winsim::env::RUN_KEY, "subkeys"), Some(3));
-        assert_eq!(state.wear_reg_override(r"HKLM\SOFTWARE\NotWellKnown", "values"), None);
+        assert_eq!(state.wear_reg_override(&shouty), Some(3), "Table III autoruns");
+        assert_eq!(state.wear_reg_override(winsim::env::RUN_KEY), Some(3));
+        assert_eq!(state.wear_reg_override(r"HKLM\SOFTWARE\NotWellKnown"), None);
     }
 
     #[test]

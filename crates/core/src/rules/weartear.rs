@@ -41,7 +41,7 @@ impl DeceptionRule for WearTearRule {
     fn respond(&self, state: &EngineState, _cfg: &Config, call: &mut ApiCall<'_>) -> Outcome {
         match call.api {
             Api::NtQueryKey => {
-                if let Some(n) = state.wear_reg_override(call.args.str(0), call.args.str(1)) {
+                if let Some(n) = state.wear_reg_override(call.args.str(0)) {
                     let path = call.args.str(0).to_owned();
                     return Outcome::Deceive(
                         Deception::new(Category::WearTear, path, Profile::Generic, n.to_string()),

@@ -8,7 +8,7 @@ use malware_sim::CorpusSample;
 use scarecrow::{ProtectedRun, Scarecrow};
 use tracer::{
     Counter, FlightConfig, FlightRecorder, FlightSnapshot, Stage, Telemetry, TelemetrySnapshot,
-    Trace, Verdict,
+    Trace, TraceDiff, Verdict,
 };
 use winsim::{Machine, MachineSnapshot, Program};
 
@@ -60,7 +60,10 @@ pub struct RunPair {
     pub baseline: Trace,
     /// The protected run (trace, triggers, alarms).
     pub protected: ProtectedRun,
-    /// The Section IV-C judgement.
+    /// Both traces folded once: the activity sets and self-spawn counts
+    /// the verdict and every report read.
+    pub diff: TraceDiff,
+    /// The Section IV-C judgement of `diff`.
     pub verdict: Verdict,
 }
 
@@ -238,13 +241,14 @@ impl Cluster {
         let (_, baseline) = self.run_baseline(Arc::clone(&program));
         let (mut m, protected) = self.protected_run(program, Some((name, index)));
         let started = Instant::now();
-        let verdict = Verdict::decide(&baseline, &protected.trace);
+        let diff = TraceDiff::compute(&baseline, &protected.trace);
+        let verdict = Verdict::from_diff(&diff);
         self.record_stage(Stage::Verdict, started);
         if let Some(mut f) = m.take_flight() {
             f.end_sample(m.system().clock.now_ms(), &verdict);
             *self.recorder() = Some(f);
         }
-        RunPair { baseline, protected, verdict }
+        RunPair { baseline, protected, diff, verdict }
     }
 
     fn run_corpus_sample(&self, s: &CorpusSample, index: u64) -> SampleResult {
@@ -316,18 +320,18 @@ impl Cluster {
 /// Convenience: result rows enriched with corpus ground truth.
 impl SampleResult {
     pub(crate) fn from_pair(s: &CorpusSample, pair: &RunPair) -> SampleResult {
-        let baseline_acts = pair.baseline.significant_activities();
+        let baseline = &pair.diff.baseline;
         SampleResult {
             md5: s.md5.clone(),
             family: s.family.clone(),
             class: s.class,
             verdict: pair.verdict.clone(),
-            protected_self_spawns: pair.protected.trace.self_spawn_count(),
+            protected_self_spawns: pair.diff.self_spawns.1,
             first_trigger: pair.protected.triggers.first().map(|t| t.api.name().to_owned()),
-            baseline_created_processes: baseline_acts
+            baseline_created_processes: baseline
                 .iter()
                 .any(|a| a.tag == "proc_create" || a.tag == "proc_inject"),
-            baseline_modified_files_or_registry: baseline_acts
+            baseline_modified_files_or_registry: baseline
                 .iter()
                 .any(|a| a.tag.starts_with("file_") || a.tag == "reg_mutate"),
         }
@@ -337,6 +341,7 @@ impl SampleResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BenignReport;
     use malware_sim::cnet_top20;
     use malware_sim::samples::cases;
     use malware_sim::samples::joe::joe_samples;
@@ -395,6 +400,52 @@ mod tests {
         let pair = c.run_pair(s.sample.into_program());
         assert!(pair.verdict.is_deactivated());
         assert_eq!(pair.protected.triggers[0].api, winsim::Api::IsDebuggerPresent);
+    }
+
+    #[test]
+    fn every_report_reads_the_stored_fold() {
+        // Figure 4's corpus seed and limits, and the benign experiment's preset
+        let corpus: Vec<_> = malgene_corpus(20200629).into_iter().take(64).collect();
+        let c = cluster();
+        let apps = Cluster::new(
+            Arc::new(|| {
+                let mut m = end_user_machine();
+                m.system_mut().fs.set_drive('D', DriveInfo::gb(1_000, 800));
+                m
+            }),
+            Scarecrow::with_builtin_db(Config::default()),
+        );
+        let samples = corpus.iter().map(|s| (&c, s.sample.clone().into_program(), Some(s)));
+        let programs = cnet_top20().into_iter().map(|app| (&apps, Arc::new(app) as _, None));
+        for (cluster, program, sample) in samples.chain(programs) {
+            let image = program.image_name().to_owned();
+            let pair = cluster.run_pair(program);
+            let (baseline, protected) = (&pair.baseline, &pair.protected.trace);
+            assert_eq!(pair.diff, TraceDiff::compute(baseline, protected), "{image}");
+            assert_eq!(pair.verdict, Verdict::decide(baseline, protected), "{image}");
+            assert_eq!(
+                BenignReport::from_diff(&image, &pair.diff),
+                BenignReport::compare(&image, baseline, protected),
+                "{image}"
+            );
+            let Some(s) = sample else { continue };
+            let acts = baseline.significant_activities();
+            let rebuilt = SampleResult {
+                md5: s.md5.clone(),
+                family: s.family.clone(),
+                class: s.class,
+                verdict: Verdict::decide(baseline, protected),
+                protected_self_spawns: protected.self_spawn_count(),
+                first_trigger: pair.protected.triggers.first().map(|t| t.api.name().to_owned()),
+                baseline_created_processes: acts
+                    .iter()
+                    .any(|a| a.tag == "proc_create" || a.tag == "proc_inject"),
+                baseline_modified_files_or_registry: acts
+                    .iter()
+                    .any(|a| a.tag.starts_with("file_") || a.tag == "reg_mutate"),
+            };
+            assert_eq!(SampleResult::from_pair(s, &pair), rebuilt, "{}", s.md5);
+        }
     }
 
     #[test]

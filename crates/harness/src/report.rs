@@ -4,7 +4,7 @@
 use std::collections::BTreeMap;
 
 use malware_sim::SampleClass;
-use tracer::{FlightSnapshot, TelemetrySnapshot, Verdict};
+use tracer::{FlightSnapshot, TelemetrySnapshot, Trace, TraceDiff, Verdict};
 
 /// One corpus sample's outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,13 +191,18 @@ pub struct BenignReport {
 tracer::impl_to_json!(struct BenignReport { app, identical, differences });
 
 impl BenignReport {
-    /// Compares the two runs of a benign app.
-    pub fn compare(app: &str, baseline: &tracer::Trace, protected: &tracer::Trace) -> Self {
-        let diff = tracer::TraceDiff::compute(baseline, protected);
-        let mut differences: Vec<String> =
-            diff.suppressed.iter().map(ToString::to_string).collect();
-        differences.extend(diff.introduced.iter().map(ToString::to_string));
+    /// Reads the two runs of a benign app from their fold: the activities
+    /// only the baseline had, then those only the protected run had.
+    pub fn from_diff(app: &str, diff: &TraceDiff) -> Self {
+        let differences: Vec<String> =
+            diff.suppressed().chain(diff.introduced()).map(ToString::to_string).collect();
         BenignReport { app: app.to_owned(), identical: differences.is_empty(), differences }
+    }
+
+    /// Compares the two runs of a benign app: [`BenignReport::from_diff`]
+    /// over their fresh fold.
+    pub fn compare(app: &str, baseline: &Trace, protected: &Trace) -> Self {
+        BenignReport::from_diff(app, &TraceDiff::compute(baseline, protected))
     }
 }
 
@@ -238,7 +243,7 @@ mod tests {
 
     #[test]
     fn benign_comparison_flags_differences() {
-        use tracer::{Event, EventKind, Trace};
+        use tracer::{Event, EventKind};
         let mut a = Trace::new("app.exe");
         a.record(Event::at(0, 1, EventKind::FileWrite { path: r"C:\same".into(), bytes: 1 }));
         let mut b = Trace::new("app.exe");
@@ -250,7 +255,8 @@ mod tests {
         c.record(Event::at(0, 1, EventKind::FileWrite { path: r"C:\other".into(), bytes: 1 }));
         let r = BenignReport::compare("app.exe", &a, &c);
         assert!(!r.identical);
-        assert_eq!(r.differences.len(), 2);
+        // the baseline's missing activity first, then the protected run's new one
+        assert_eq!(r.differences, [r"file_write(c:\same)", r"file_write(c:\other)"]);
     }
 
     #[test]

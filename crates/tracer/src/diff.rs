@@ -4,28 +4,25 @@ use std::collections::BTreeSet;
 
 use crate::trace::{ActivityKey, Trace};
 
-/// The result of comparing a baseline trace (sample run **without**
-/// Scarecrow) against a protected trace (sample run **with** Scarecrow).
+/// The two runs of one sample, folded once: each run's significant
+/// activities and self-spawn count.
 ///
 /// This mirrors the evaluation methodology of Section IV-C: "We examined if
 /// there were any significant activities … in the trace without SCARECROW
-/// but not in the trace with SCARECROW."
+/// but not in the trace with SCARECROW." A paired run keeps this fold
+/// (`harness::RunPair::diff`); its verdict and every report read it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceDiff {
-    /// Significant activities present only in the baseline (suppressed by
-    /// the deception engine).
-    pub suppressed: BTreeSet<ActivityKey>,
-    /// Significant activities present only in the protected run (new
-    /// behaviour caused by the engine, e.g. a benign fallback component).
-    pub introduced: BTreeSet<ActivityKey>,
-    /// Significant activities present in both runs.
-    pub common: BTreeSet<ActivityKey>,
+    /// Significant activities of the baseline run (without Scarecrow).
+    pub baseline: BTreeSet<ActivityKey>,
+    /// Significant activities of the protected run (with Scarecrow).
+    pub protected: BTreeSet<ActivityKey>,
     /// Self-spawn counts (baseline, protected).
     pub self_spawns: (usize, usize),
 }
 
 impl TraceDiff {
-    /// Computes the diff between the two runs of one sample.
+    /// Folds the two runs of one sample.
     ///
     /// # Panics
     ///
@@ -37,20 +34,30 @@ impl TraceDiff {
             protected.root_image(),
             "trace diff requires two runs of the same sample"
         );
-        let base = baseline.significant_activities();
-        let prot = protected.significant_activities();
         TraceDiff {
-            suppressed: base.difference(&prot).cloned().collect(),
-            introduced: prot.difference(&base).cloned().collect(),
-            common: base.intersection(&prot).cloned().collect(),
+            baseline: baseline.significant_activities(),
+            protected: protected.significant_activities(),
             self_spawns: (baseline.self_spawn_count(), protected.self_spawn_count()),
         }
+    }
+
+    /// Significant activities present only in the baseline (suppressed by
+    /// the deception engine), in order.
+    pub fn suppressed(&self) -> impl Iterator<Item = &ActivityKey> {
+        self.baseline.difference(&self.protected)
+    }
+
+    /// Significant activities present only in the protected run (new
+    /// behaviour caused by the engine, e.g. a benign fallback component),
+    /// in order.
+    pub fn introduced(&self) -> impl Iterator<Item = &ActivityKey> {
+        self.protected.difference(&self.baseline)
     }
 
     /// Whether the protected run lost significant activities relative to the
     /// baseline.
     pub fn has_suppressed(&self) -> bool {
-        !self.suppressed.is_empty()
+        self.suppressed().next().is_some()
     }
 
     /// Whether the baseline showed any significant activity at all.
@@ -61,7 +68,7 @@ impl TraceDiff {
     /// straightforward to determine the effectiveness … without observing
     /// any critical activities").
     pub fn baseline_had_activity(&self) -> bool {
-        !self.suppressed.is_empty() || !self.common.is_empty()
+        !self.baseline.is_empty()
     }
 }
 
@@ -87,9 +94,12 @@ mod tests {
         let base = trace_with("m.exe", &["svchost.exe", "dropper.exe"]);
         let prot = trace_with("m.exe", &["svchost.exe", "winform.exe"]);
         let d = TraceDiff::compute(&base, &prot);
-        assert_eq!(d.suppressed.len(), 1);
-        assert_eq!(d.introduced.len(), 1);
-        assert_eq!(d.common.len(), 1);
+        let names = |keys: Vec<&ActivityKey>| -> Vec<String> {
+            keys.into_iter().map(ToString::to_string).collect()
+        };
+        assert_eq!(names(d.suppressed().collect()), ["proc_create(dropper.exe)"]);
+        assert_eq!(names(d.introduced().collect()), ["proc_create(winform.exe)"]);
+        assert_eq!(d.baseline.intersection(&d.protected).count(), 1);
     }
 
     #[test]

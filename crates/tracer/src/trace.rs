@@ -84,14 +84,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Iterates over events matching a predicate.
-    pub fn filter<'a, F>(&'a self, mut pred: F) -> impl Iterator<Item = &'a Event>
-    where
-        F: FnMut(&Event) -> bool + 'a,
-    {
-        self.events.iter().filter(move |e| pred(e))
-    }
-
     /// How many times the sample spawned *its own image* again.
     ///
     /// This is the signal behind the paper's self-spawn-loop criterion: in a
@@ -165,15 +157,6 @@ impl Trace {
             set.insert(key);
         }
         set
-    }
-
-    /// Merges another trace into this one (used by the proxy, which collects
-    /// per-machine traces in real time).
-    ///
-    /// Events keep their own timestamps; the result is re-sorted by time.
-    pub fn merge(&mut self, other: Trace) {
-        self.events.extend(other.events);
-        self.events.sort_by_key(|e| e.time);
     }
 
     /// Pids that appear as actors in this trace.
@@ -299,16 +282,5 @@ mod tests {
             EventKind::FileWrite { path: r"C:\Temp\mal.exe".into(), bytes: 4096 },
         ));
         assert_eq!(a.significant_activities(), b.significant_activities());
-    }
-
-    #[test]
-    fn merge_keeps_time_order() {
-        let mut a = Trace::new("mal.exe");
-        a.record(pc(5, "x.exe"));
-        let mut b = Trace::new("mal.exe");
-        b.record(pc(2, "y.exe"));
-        a.merge(b);
-        let times: Vec<_> = a.events().iter().map(|e| e.time).collect();
-        assert_eq!(times, vec![2, 5]);
     }
 }

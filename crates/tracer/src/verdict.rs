@@ -94,7 +94,7 @@ impl Verdict {
         }
         if diff.has_suppressed() {
             return Verdict::Deactivated(DeactivationReason::SuppressedActivities {
-                missing: diff.suppressed.iter().cloned().collect(),
+                missing: diff.suppressed().cloned().collect(),
             });
         }
         if !diff.baseline_had_activity() {

@@ -40,227 +40,123 @@ pub fn check_hook(prologue: &[u8; PROLOGUE_LEN]) -> bool {
     !(prologue[0] == 0x8b && prologue[1] == 0xff)
 }
 
-/// The simulated Windows API surface.
-///
-/// This list covers every API the paper names (the 29 hooked by Scarecrow,
-/// the triggers of Table I, the wear-and-tear APIs of Table III) plus the
-/// calls Pafish, the benign corpus, and the malware payloads need.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[allow(missing_docs)] // variant names are the documentation: they are the Windows API names
-pub enum Api {
-    // --- registry (Win32) ---
-    RegOpenKeyEx,
-    RegQueryValueEx,
-    RegSetValueEx,
-    RegCreateKeyEx,
-    RegDeleteKey,
-    RegEnumKeyEx,
-    // --- registry (native) ---
-    NtOpenKeyEx,
-    NtQueryKey,
-    NtQueryValueKey,
-    // --- files ---
-    NtCreateFile,
-    NtQueryAttributesFile,
-    GetFileAttributes,
-    CreateFile,
-    ReadFile,
-    WriteFile,
-    DeleteFile,
-    MoveFile,
-    FindFirstFile,
-    GetDiskFreeSpaceEx,
-    // --- processes & debugging ---
-    CreateProcess,
-    OpenProcess,
-    TerminateProcess,
-    ExitProcess,
-    ResumeThread,
-    Sleep,
-    GetTickCount,
-    IsDebuggerPresent,
-    CheckRemoteDebuggerPresent,
-    NtQueryInformationProcess,
-    OutputDebugString,
-    CloseHandle,
-    EnumProcesses,
-    GetCurrentProcessId,
-    WriteProcessMemory,
-    CreateToolhelp32Snapshot,
-    Process32Next,
-    // --- modules ---
-    GetModuleHandle,
-    LoadLibrary,
-    EnumModules,
-    GetModuleFileName,
-    GetProcAddress,
-    // --- system information ---
-    GetSystemInfo,
-    GlobalMemoryStatusEx,
-    NtQuerySystemInformation,
-    GetUserName,
-    GetComputerName,
-    GetCursorPos,
-    GetAdaptersInfo,
-    IsNativeVhdBoot,
-    GetKeyState,
-    // --- GUI ---
-    FindWindow,
-    // --- network ---
-    DnsQuery,
-    InternetOpenUrl,
-    DnsGetCacheDataTable,
-    // --- event log / shell / sync ---
-    EvtNext,
-    ShellExecuteEx,
-    CreateMutex,
-    /// Raises and handles a (first-chance) exception, returning the
-    /// dispatch round-trip in cycles. Debuggers and shadow-page analysis
-    /// systems inflate this path; Scarecrow fakes the inflation
-    /// (Section II-B(g) "Exception processing").
-    RaiseException,
+/// Declares [`Api`] from its one variant list, and with it `Api::all()`
+/// (the variants in declaration order) and `Api::name()` (each variant's
+/// own name).
+macro_rules! api_table {
+    (
+        $(#[$meta:meta])*
+        pub enum Api { $($(#[$variant_meta:meta])* $variant:ident,)* }
+    ) => {
+        $(#[$meta])*
+        pub enum Api { $($(#[$variant_meta])* $variant,)* }
+
+        impl Api {
+            /// Every API in the table, in declaration order, so that
+            /// `Api::all()[i] as usize == i`.
+            pub fn all() -> &'static [Api] {
+                &[$(Api::$variant,)*]
+            }
+
+            /// The API's conventional Windows name (`-A`/`-W` suffixes elided).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Api::$variant => stringify!($variant),)*
+                }
+            }
+        }
+    };
+}
+
+api_table! {
+    /// The simulated Windows API surface.
+    ///
+    /// This list covers every API the paper names (the 29 hooked by Scarecrow,
+    /// the triggers of Table I, the wear-and-tear APIs of Table III) plus the
+    /// calls Pafish, the benign corpus, and the malware payloads need.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    #[allow(missing_docs)] // variant names are the documentation: they are the Windows API names
+    pub enum Api {
+        // --- registry (Win32) ---
+        RegOpenKeyEx,
+        RegQueryValueEx,
+        RegSetValueEx,
+        RegCreateKeyEx,
+        RegDeleteKey,
+        RegEnumKeyEx,
+        // --- registry (native) ---
+        NtOpenKeyEx,
+        NtQueryKey,
+        NtQueryValueKey,
+        // --- files ---
+        NtCreateFile,
+        NtQueryAttributesFile,
+        GetFileAttributes,
+        CreateFile,
+        ReadFile,
+        WriteFile,
+        DeleteFile,
+        MoveFile,
+        FindFirstFile,
+        GetDiskFreeSpaceEx,
+        // --- processes & debugging ---
+        CreateProcess,
+        OpenProcess,
+        TerminateProcess,
+        ExitProcess,
+        ResumeThread,
+        Sleep,
+        GetTickCount,
+        IsDebuggerPresent,
+        CheckRemoteDebuggerPresent,
+        NtQueryInformationProcess,
+        OutputDebugString,
+        CloseHandle,
+        EnumProcesses,
+        GetCurrentProcessId,
+        WriteProcessMemory,
+        CreateToolhelp32Snapshot,
+        Process32Next,
+        // --- modules ---
+        GetModuleHandle,
+        LoadLibrary,
+        EnumModules,
+        GetModuleFileName,
+        GetProcAddress,
+        // --- system information ---
+        GetSystemInfo,
+        GlobalMemoryStatusEx,
+        NtQuerySystemInformation,
+        GetUserName,
+        GetComputerName,
+        GetCursorPos,
+        GetAdaptersInfo,
+        IsNativeVhdBoot,
+        GetKeyState,
+        // --- GUI ---
+        FindWindow,
+        // --- network ---
+        DnsQuery,
+        InternetOpenUrl,
+        DnsGetCacheDataTable,
+        // --- event log / shell / sync ---
+        EvtNext,
+        ShellExecuteEx,
+        CreateMutex,
+        /// Raises and handles a (first-chance) exception, returning the
+        /// dispatch round-trip in cycles. Debuggers and shadow-page analysis
+        /// systems inflate this path; Scarecrow fakes the inflation
+        /// (Section II-B(g) "Exception processing").
+        RaiseException,
+    }
 }
 
 impl Api {
-    /// Every API in the table.
-    pub fn all() -> &'static [Api] {
-        use Api::*;
-        &[
-            RegOpenKeyEx,
-            RegQueryValueEx,
-            RegSetValueEx,
-            RegCreateKeyEx,
-            RegDeleteKey,
-            RegEnumKeyEx,
-            NtOpenKeyEx,
-            NtQueryKey,
-            NtQueryValueKey,
-            NtCreateFile,
-            NtQueryAttributesFile,
-            GetFileAttributes,
-            CreateFile,
-            ReadFile,
-            WriteFile,
-            DeleteFile,
-            MoveFile,
-            FindFirstFile,
-            GetDiskFreeSpaceEx,
-            CreateProcess,
-            OpenProcess,
-            TerminateProcess,
-            ExitProcess,
-            ResumeThread,
-            Sleep,
-            GetTickCount,
-            IsDebuggerPresent,
-            CheckRemoteDebuggerPresent,
-            NtQueryInformationProcess,
-            OutputDebugString,
-            CloseHandle,
-            EnumProcesses,
-            GetCurrentProcessId,
-            WriteProcessMemory,
-            CreateToolhelp32Snapshot,
-            Process32Next,
-            GetModuleHandle,
-            LoadLibrary,
-            EnumModules,
-            GetModuleFileName,
-            GetProcAddress,
-            GetSystemInfo,
-            GlobalMemoryStatusEx,
-            NtQuerySystemInformation,
-            GetUserName,
-            GetComputerName,
-            GetCursorPos,
-            GetAdaptersInfo,
-            IsNativeVhdBoot,
-            GetKeyState,
-            FindWindow,
-            DnsQuery,
-            InternetOpenUrl,
-            DnsGetCacheDataTable,
-            EvtNext,
-            ShellExecuteEx,
-            CreateMutex,
-            RaiseException,
-        ]
-    }
-
-    /// The API's conventional Windows name (`-A`/`-W` suffixes elided).
-    pub fn name(self) -> &'static str {
-        match self {
-            Api::RegOpenKeyEx => "RegOpenKeyEx",
-            Api::RegQueryValueEx => "RegQueryValueEx",
-            Api::RegSetValueEx => "RegSetValueEx",
-            Api::RegCreateKeyEx => "RegCreateKeyEx",
-            Api::RegDeleteKey => "RegDeleteKey",
-            Api::RegEnumKeyEx => "RegEnumKeyEx",
-            Api::NtOpenKeyEx => "NtOpenKeyEx",
-            Api::NtQueryKey => "NtQueryKey",
-            Api::NtQueryValueKey => "NtQueryValueKey",
-            Api::NtCreateFile => "NtCreateFile",
-            Api::NtQueryAttributesFile => "NtQueryAttributesFile",
-            Api::GetFileAttributes => "GetFileAttributes",
-            Api::CreateFile => "CreateFile",
-            Api::ReadFile => "ReadFile",
-            Api::WriteFile => "WriteFile",
-            Api::DeleteFile => "DeleteFile",
-            Api::MoveFile => "MoveFile",
-            Api::FindFirstFile => "FindFirstFile",
-            Api::GetDiskFreeSpaceEx => "GetDiskFreeSpaceEx",
-            Api::CreateProcess => "CreateProcess",
-            Api::OpenProcess => "OpenProcess",
-            Api::TerminateProcess => "TerminateProcess",
-            Api::ExitProcess => "ExitProcess",
-            Api::ResumeThread => "ResumeThread",
-            Api::Sleep => "Sleep",
-            Api::GetTickCount => "GetTickCount",
-            Api::IsDebuggerPresent => "IsDebuggerPresent",
-            Api::CheckRemoteDebuggerPresent => "CheckRemoteDebuggerPresent",
-            Api::NtQueryInformationProcess => "NtQueryInformationProcess",
-            Api::OutputDebugString => "OutputDebugString",
-            Api::CloseHandle => "CloseHandle",
-            Api::EnumProcesses => "EnumProcesses",
-            Api::GetCurrentProcessId => "GetCurrentProcessId",
-            Api::WriteProcessMemory => "WriteProcessMemory",
-            Api::CreateToolhelp32Snapshot => "CreateToolhelp32Snapshot",
-            Api::Process32Next => "Process32Next",
-            Api::GetModuleHandle => "GetModuleHandle",
-            Api::LoadLibrary => "LoadLibrary",
-            Api::EnumModules => "EnumModules",
-            Api::GetModuleFileName => "GetModuleFileName",
-            Api::GetProcAddress => "GetProcAddress",
-            Api::GetSystemInfo => "GetSystemInfo",
-            Api::GlobalMemoryStatusEx => "GlobalMemoryStatusEx",
-            Api::NtQuerySystemInformation => "NtQuerySystemInformation",
-            Api::GetUserName => "GetUserName",
-            Api::GetComputerName => "GetComputerName",
-            Api::GetCursorPos => "GetCursorPos",
-            Api::GetAdaptersInfo => "GetAdaptersInfo",
-            Api::IsNativeVhdBoot => "IsNativeVhdBoot",
-            Api::GetKeyState => "GetKeyState",
-            Api::FindWindow => "FindWindow",
-            Api::DnsQuery => "DnsQuery",
-            Api::InternetOpenUrl => "InternetOpenUrl",
-            Api::DnsGetCacheDataTable => "DnsGetCacheDataTable",
-            Api::EvtNext => "EvtNext",
-            Api::ShellExecuteEx => "ShellExecuteEx",
-            Api::CreateMutex => "CreateMutex",
-            Api::RaiseException => "RaiseException",
-        }
-    }
-
     /// API names laid out so that slot `api as usize` holds `api.name()` —
     /// the slot-name list a [`tracer::Telemetry`] recorder for this
     /// substrate is built from.
     pub fn telemetry_slot_names() -> Vec<String> {
-        let all = Api::all();
-        let mut names = vec![String::new(); all.len()];
-        for api in all {
-            names[*api as usize] = api.name().to_owned();
-        }
-        names
+        Api::all().iter().map(|api| api.name().to_owned()).collect()
     }
 }
 
@@ -421,6 +317,14 @@ mod tests {
         assert!(all.len() >= 50, "expected a broad API surface, got {}", all.len());
         let names: std::collections::HashSet<_> = all.iter().map(|a| a.name()).collect();
         assert_eq!(names.len(), all.len());
+    }
+
+    #[test]
+    fn all_lists_each_variant_at_its_discriminant() {
+        for (i, api) in Api::all().iter().enumerate() {
+            assert_eq!(*api as usize, i, "{api}");
+        }
+        assert_eq!(Api::all().last(), Some(&Api::RaiseException));
     }
 
     #[test]

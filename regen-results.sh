@@ -11,11 +11,12 @@
 #                                   # -D warnings, the whole
 #                                   # workspace test suite, a perfbench build
 #                                   # (it calls the crates' public API), the
-#                                   # eight experiment binaries' stdout, the
-#                                   # seven JSON artifacts, the two golden
-#                                   # attribution sidecars and the golden
-#                                   # `scarecrowctl rules --json` listing
-#                                   # byte-equal to results/, the SHA-256
+#                                   # eight experiment binaries' stdout,
+#                                   # `scarecrowctl run case:kasidet`'s
+#                                   # stdout, the seven JSON artifacts, the
+#                                   # two golden attribution sidecars and
+#                                   # the golden `scarecrowctl rules --json`
+#                                   # listing byte-equal to results/, the SHA-256
 #                                   # of Figure 4's attribution sidecar
 #                                   # and of its trace sidecar (wall-clock
 #                                   # costs zeroed) equal to the committed
@@ -40,6 +41,9 @@ figure4_digest="results/figure4_attribution.sha256"
 # and so is its Chrome trace, once each span's wall-clock cost is zeroed:
 # the recorder keeps the same whole samples for any worker count
 figure4_trace_digest="results/figure4_trace.sha256"
+# `scarecrowctl run case:kasidet`'s stdout: the paired run's baseline
+# activities, triggers, verdict and telemetry counts
+ctl_run_golden="results/scarecrowctl_run.txt"
 
 sha256() {
     sha256sum "$1" | cut -d' ' -f1
@@ -140,7 +144,8 @@ if [ "${1:-}" = "--check" ]; then
     # last explain run, so its attribution sidecar is the golden one
     ctl explain case:kasidet
     ctl trace case:kasidet
-    ctl run case:kasidet
+    SCARECROW_RESULTS_DIR="$check_dir" ./target/release/scarecrowctl run case:kasidet \
+        >"$check_dir/scarecrowctl_run.txt"
     ctl rules --json
     for f in table1 table1_telemetry figure4 figure4_telemetry \
              table1_trace table1_attribution figure4_trace figure4_attribution \
@@ -176,6 +181,7 @@ if [ "${1:-}" = "--check" ]; then
     for b in $json_artifacts $golden_sidecars; do
         require_same "$check_dir/$b.json" "results/$b.json"
     done
+    require_same "$check_dir/scarecrowctl_run.txt" "$ctl_run_golden"
     sha256 "$check_dir/figure4_attribution.json" >"$check_dir/figure4_attribution.sha256"
     require_same "$check_dir/figure4_attribution.sha256" "$figure4_digest"
     trace_sha256 "$check_dir/figure4_trace.json" >"$check_dir/figure4_trace.sha256"
@@ -194,6 +200,7 @@ for b in $experiments; do
 done
 SCARECROW_RESULTS_DIR="$out_dir" ./target/release/scarecrowctl explain case:kasidet >/dev/null
 SCARECROW_RESULTS_DIR="$out_dir" ./target/release/scarecrowctl rules --json >/dev/null
+SCARECROW_RESULTS_DIR="$out_dir" ./target/release/scarecrowctl run case:kasidet >"$ctl_run_golden"
 for b in $json_artifacts $golden_sidecars; do
     cp "$out_dir/$b.json" "results/$b.json"
 done

@@ -681,19 +681,6 @@ fn significant_activities_are_a_subset_of_events() {
     });
 }
 
-#[test]
-fn merge_preserves_event_count() {
-    check("merge_preserves_event_count", 64, two_traces, |(a, b)| {
-        let (na, nb) = (a.len(), b.len());
-        let mut merged = a;
-        merged.merge(b);
-        assert_eq!(merged.len(), na + nb);
-        // and stays time-ordered
-        let times: Vec<_> = merged.events().iter().map(|e| e.time).collect();
-        assert!(times.windows(2).all(|w| w[0] <= w[1]));
-    });
-}
-
 // ---------------------------------------------------------------------------
 // value / args invariants
 // ---------------------------------------------------------------------------
